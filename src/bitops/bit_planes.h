@@ -73,12 +73,17 @@ class BitPlanes {
 
   // kw bits of bitmap row `bm` starting at column ix0 (bit i = column
   // ix0 + i); columns outside [0, w) read as zero (padding is -1 -> bit 0).
-  // Requires -64 < ix0 < w (the conv window overlaps the image, pad < 64).
+  // Requires ix0 > -64 (pad < 64). A window that starts at or right of the
+  // last word (a 1x1 conv's pad column when w is a multiple of 64) reads
+  // nothing from `bm`.
   std::uint64_t window_bits(const std::uint64_t* bm, std::int64_t ix0,
                             std::int64_t kw) const {
     std::uint64_t v;
     if (ix0 >= 0) {
       const std::int64_t wi = ix0 >> 6;
+      if (wi >= row_words_) {
+        return 0;
+      }
       const int off = static_cast<int>(ix0 & 63);
       v = bm[wi] >> off;
       if (off != 0 && wi + 1 < row_words_) {

@@ -8,10 +8,14 @@
 //   layout   Packed rows are arrays of uint64 words, little-endian bit
 //            order (bit b of word w covers column 64*w + b), with all tail
 //            bits beyond the logical column count zero. `words` may be any
-//            non-negative count: kernels vectorize full vector blocks and
-//            finish the remainder scalar, so unpadded rows are always
-//            correct. Rows padded to a multiple of `word_multiple`
-//            (BitMatrix does this by construction) take the tail-free path.
+//            non-negative count, so unpadded rows are always correct:
+//            xor_popcount(_2x4) finish the words past the last full vector
+//            block in scalar code, and the AVX2/AVX-512 weighted_sum(_x4)
+//            run the partial last channel block as one masked vector block
+//            (masked lanes load zero words and zero alpha, add exactly
+//            +0.0f, and leave the canonical sum bit-identical). BitMatrix
+//            pads rows to a multiple of `word_multiple` so the popcount
+//            loops of xnor_gemm never reach their scalar tail.
 //
 //   exactness  xor_popcount / xor_popcount_2x4 accumulate in integers, so
 //            every kernel returns the same value on the same input by
@@ -46,6 +50,9 @@ struct XnorKernel {
   // Stable identifier ("scalar", "avx2", "avx512"); used by the
   // HOTSPOT_SIMD override, log lines, span names, and the run manifest.
   const char* name;
+  // Trace span of the XNOR inner loops run under this kernel
+  // ("binary_conv.gemm.<name>"), a literal so forwards never build it.
+  const char* gemm_span;
   // SIMD register width in bits; reported by the bitops.kernel gauge.
   std::int64_t simd_bits;
   // Pad packed rows to a multiple of this many 64-bit words for tail-free

@@ -7,7 +7,8 @@
 // Bit-exactness: integer primitives are exact by construction; weighted_sum
 // realizes the canonical 8-lane order of xnor_kernel.h with one vector
 // multiply + add per 8-channel block (-ffp-contract=off keeps them two
-// rounded operations) and the fixed scalar reduction tree.
+// rounded operations), a masked vector block for the partial tail, and the
+// fixed reduction tree evaluated in registers.
 #include "bitops/kernels/xnor_kernel.h"
 
 #if defined(HOTSPOT_XNOR_AVX2)
@@ -105,48 +106,84 @@ void avx2_xor_popcount_2x4(const std::uint64_t* a0, const std::uint64_t* a1,
   }
 }
 
+// One 8-channel block as two 256-bit halves, gathered to 8 x i32 counts.
+inline __m256 counts8_ps(__m256i counts_lo, __m256i counts_hi) {
+  // vpsadbw counts are <= 64, so the high 32 bits of each are zero.
+  const __m256i take_low32 = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const __m256i low = _mm256_permutevar8x32_epi32(counts_lo, take_low32);
+  const __m256i high = _mm256_permutevar8x32_epi32(counts_hi, take_low32);
+  return _mm256_cvtepi32_ps(_mm256_blend_epi32(low, high, 0xF0));
+}
+
+// lanes += alpha * (dot_bits - 2 * popcount(a ^ b)) for one 8-channel
+// block given as (lo, hi) word halves: an explicit mul + add per lane, the
+// canonical two roundings.
+inline __m256 accumulate(__m256 lanes, __m256i a_lo, __m256i a_hi,
+                         __m256i b_lo, __m256i b_hi, __m256 alphav,
+                         __m256 bits) {
+  const __m256 mismatches =
+      counts8_ps(popcount_epi64(_mm256_xor_si256(a_lo, b_lo)),
+                 popcount_epi64(_mm256_xor_si256(a_hi, b_hi)));
+  return _mm256_add_ps(
+      lanes, _mm256_mul_ps(alphav, _mm256_sub_ps(
+                                       bits, _mm256_add_ps(mismatches,
+                                                           mismatches))));
+}
+
+// Canonical tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) in registers.
+// Float addition is commutative, so each pairwise vector sum is bit-for-bit
+// its scalar counterpart whichever operand sits in which lane.
+inline float reduce_canonical(__m256 lanes) {
+  const __m256 pairs = _mm256_add_ps(lanes, _mm256_permute_ps(lanes, 0xB1));
+  const __m256 quads = _mm256_add_ps(pairs, _mm256_permute_ps(pairs, 0x4E));
+  return _mm_cvtss_f32(_mm_add_ss(_mm256_castps256_ps128(quads),
+                                  _mm256_extractf128_ps(quads, 1)));
+}
+
+// Load masks for the partial last block of `remaining` (< 8) channels: the
+// partial block runs as one more vector block with masked-off lanes loaded
+// as zero words and zero alpha. Each such lane adds 0 * dot_bits = +0.0f,
+// which leaves it unchanged: a lane starts at +0.0f and can never become
+// -0.0f (x + -0.0f and x + (-x) round to +0.0f), so the result equals the
+// canonical partial block that skips those lanes.
+struct TailMasks {
+  __m256i words_lo;  // 64-bit lanes 0..3
+  __m256i words_hi;  // 64-bit lanes 4..7
+  __m256i floats;    // 32-bit lanes 0..7
+};
+
+inline TailMasks tail_masks(std::int64_t remaining) {
+  const __m256i r64 = _mm256_set1_epi64x(remaining);
+  const auto r32 = _mm256_set1_epi32(static_cast<int>(remaining));
+  return {_mm256_cmpgt_epi64(r64, _mm256_setr_epi64x(0, 1, 2, 3)),
+          _mm256_cmpgt_epi64(r64, _mm256_setr_epi64x(4, 5, 6, 7)),
+          _mm256_cmpgt_epi32(r32, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))};
+}
+
+inline __m256i maskload(const std::uint64_t* p, __m256i mask) {
+  return _mm256_maskload_epi64(reinterpret_cast<const long long*>(p), mask);
+}
+
 float avx2_weighted_sum(const std::uint64_t* a, const std::uint64_t* b,
                         const float* alpha, std::int64_t channels,
                         float dot_bits) {
   __m256 lanes = _mm256_setzero_ps();
   const __m256 bits = _mm256_set1_ps(dot_bits);
-  // Gathers the low 32 bits of each vpsadbw 64-bit count; counts are <= 64
-  // so the high halves are zero.
-  const __m256i take_low32 = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
   std::int64_t c = 0;
   for (; c + 8 <= channels; c += 8) {
-    const __m256i counts_lo =
-        popcount_epi64(_mm256_xor_si256(load256(a + c), load256(b + c)));
-    const __m256i counts_hi = popcount_epi64(
-        _mm256_xor_si256(load256(a + c + 4), load256(b + c + 4)));
-    const __m256i low = _mm256_permutevar8x32_epi32(counts_lo, take_low32);
-    const __m256i high = _mm256_permutevar8x32_epi32(counts_hi, take_low32);
-    const __m256i counts8 = _mm256_blend_epi32(low, high, 0xF0);
-    const __m256 mismatches = _mm256_cvtepi32_ps(counts8);
-    const __m256 dot =
-        _mm256_sub_ps(bits, _mm256_add_ps(mismatches, mismatches));
-    lanes = _mm256_add_ps(
-        lanes, _mm256_mul_ps(_mm256_loadu_ps(alpha + c), dot));
+    lanes = accumulate(lanes, load256(a + c), load256(a + c + 4),
+                       load256(b + c), load256(b + c + 4),
+                       _mm256_loadu_ps(alpha + c), bits);
   }
-  alignas(32) float lane_values[8];
-  _mm256_store_ps(lane_values, lanes);
-  for (int lane = 0; c + lane < channels; ++lane) {
-    const auto mismatches =
-        static_cast<float>(std::popcount(a[c + lane] ^ b[c + lane]));
-    lane_values[lane] += alpha[c + lane] * (dot_bits - 2.0f * mismatches);
+  if (c < channels) {
+    const TailMasks m = tail_masks(channels - c);
+    lanes = accumulate(lanes, maskload(a + c, m.words_lo),
+                       maskload(a + c + 4, m.words_hi),
+                       maskload(b + c, m.words_lo),
+                       maskload(b + c + 4, m.words_hi),
+                       _mm256_maskload_ps(alpha + c, m.floats), bits);
   }
-  return ((lane_values[0] + lane_values[1]) +
-          (lane_values[2] + lane_values[3])) +
-         ((lane_values[4] + lane_values[5]) +
-          (lane_values[6] + lane_values[7]));
-}
-
-// One 8-channel block as two 256-bit halves, gathered to 8 x i32 counts.
-inline __m256 counts8_ps(__m256i counts_lo, __m256i counts_hi) {
-  const __m256i take_low32 = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  const __m256i low = _mm256_permutevar8x32_epi32(counts_lo, take_low32);
-  const __m256i high = _mm256_permutevar8x32_epi32(counts_hi, take_low32);
-  return _mm256_cvtepi32_ps(_mm256_blend_epi32(low, high, 0xF0));
+  return reduce_canonical(lanes);
 }
 
 // Four filters per call: shared a/alpha loads, four independent lane
@@ -162,56 +199,44 @@ void avx2_weighted_sum_x4(const std::uint64_t* a, const std::uint64_t* b0,
   const __m256 bits = _mm256_set1_ps(dot_bits);
   std::int64_t c = 0;
   for (; c + 8 <= channels; c += 8) {
-    const __m256i av_lo = load256(a + c);
-    const __m256i av_hi = load256(a + c + 4);
+    const __m256i a_lo = load256(a + c);
+    const __m256i a_hi = load256(a + c + 4);
     const __m256 alphav = _mm256_loadu_ps(alpha + c);
-    const __m256 mm0 =
-        counts8_ps(popcount_epi64(_mm256_xor_si256(av_lo, load256(b0 + c))),
-                   popcount_epi64(_mm256_xor_si256(av_hi, load256(b0 + c + 4))));
-    const __m256 mm1 =
-        counts8_ps(popcount_epi64(_mm256_xor_si256(av_lo, load256(b1 + c))),
-                   popcount_epi64(_mm256_xor_si256(av_hi, load256(b1 + c + 4))));
-    const __m256 mm2 =
-        counts8_ps(popcount_epi64(_mm256_xor_si256(av_lo, load256(b2 + c))),
-                   popcount_epi64(_mm256_xor_si256(av_hi, load256(b2 + c + 4))));
-    const __m256 mm3 =
-        counts8_ps(popcount_epi64(_mm256_xor_si256(av_lo, load256(b3 + c))),
-                   popcount_epi64(_mm256_xor_si256(av_hi, load256(b3 + c + 4))));
-    lanes0 = _mm256_add_ps(
-        lanes0, _mm256_mul_ps(alphav,
-                              _mm256_sub_ps(bits, _mm256_add_ps(mm0, mm0))));
-    lanes1 = _mm256_add_ps(
-        lanes1, _mm256_mul_ps(alphav,
-                              _mm256_sub_ps(bits, _mm256_add_ps(mm1, mm1))));
-    lanes2 = _mm256_add_ps(
-        lanes2, _mm256_mul_ps(alphav,
-                              _mm256_sub_ps(bits, _mm256_add_ps(mm2, mm2))));
-    lanes3 = _mm256_add_ps(
-        lanes3, _mm256_mul_ps(alphav,
-                              _mm256_sub_ps(bits, _mm256_add_ps(mm3, mm3))));
+    lanes0 = accumulate(lanes0, a_lo, a_hi, load256(b0 + c),
+                        load256(b0 + c + 4), alphav, bits);
+    lanes1 = accumulate(lanes1, a_lo, a_hi, load256(b1 + c),
+                        load256(b1 + c + 4), alphav, bits);
+    lanes2 = accumulate(lanes2, a_lo, a_hi, load256(b2 + c),
+                        load256(b2 + c + 4), alphav, bits);
+    lanes3 = accumulate(lanes3, a_lo, a_hi, load256(b3 + c),
+                        load256(b3 + c + 4), alphav, bits);
   }
-  alignas(32) float lv[4][8];
-  _mm256_store_ps(lv[0], lanes0);
-  _mm256_store_ps(lv[1], lanes1);
-  _mm256_store_ps(lv[2], lanes2);
-  _mm256_store_ps(lv[3], lanes3);
-  const std::uint64_t* const filters[4] = {b0, b1, b2, b3};
-  for (int f = 0; f < 4; ++f) {
-    for (int lane = 0; c + lane < channels; ++lane) {
-      const auto mismatches = static_cast<float>(
-          std::popcount(a[c + lane] ^ filters[f][c + lane]));
-      lv[f][lane] += alpha[c + lane] * (dot_bits - 2.0f * mismatches);
-    }
-    out[f] = ((lv[f][0] + lv[f][1]) + (lv[f][2] + lv[f][3])) +
-             ((lv[f][4] + lv[f][5]) + (lv[f][6] + lv[f][7]));
+  if (c < channels) {
+    const TailMasks m = tail_masks(channels - c);
+    const __m256i a_lo = maskload(a + c, m.words_lo);
+    const __m256i a_hi = maskload(a + c + 4, m.words_hi);
+    const __m256 alphav = _mm256_maskload_ps(alpha + c, m.floats);
+    lanes0 = accumulate(lanes0, a_lo, a_hi, maskload(b0 + c, m.words_lo),
+                        maskload(b0 + c + 4, m.words_hi), alphav, bits);
+    lanes1 = accumulate(lanes1, a_lo, a_hi, maskload(b1 + c, m.words_lo),
+                        maskload(b1 + c + 4, m.words_hi), alphav, bits);
+    lanes2 = accumulate(lanes2, a_lo, a_hi, maskload(b2 + c, m.words_lo),
+                        maskload(b2 + c + 4, m.words_hi), alphav, bits);
+    lanes3 = accumulate(lanes3, a_lo, a_hi, maskload(b3 + c, m.words_lo),
+                        maskload(b3 + c + 4, m.words_hi), alphav, bits);
   }
+  out[0] = reduce_canonical(lanes0);
+  out[1] = reduce_canonical(lanes1);
+  out[2] = reduce_canonical(lanes2);
+  out[3] = reduce_canonical(lanes3);
 }
 
 }  // namespace
 
 const XnorKernel& xnor_kernel_avx2() {
   static const XnorKernel kernel{
-      "avx2",            /*simd_bits=*/256,
+      "avx2", "binary_conv.gemm.avx2",
+      /*simd_bits=*/256,
       /*word_multiple=*/4, avx2_xor_popcount,
       avx2_xor_popcount_2x4, avx2_weighted_sum,
       avx2_weighted_sum_x4,

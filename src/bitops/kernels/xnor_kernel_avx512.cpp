@@ -6,7 +6,9 @@
 // Bit-exactness: integer primitives are exact; weighted_sum realizes the
 // canonical 8-lane order of xnor_kernel.h — one 512-bit block is exactly one
 // 8-channel canonical block, converted to 8 floats and accumulated with an
-// explicit mul + add (-ffp-contract=off) into the same 8 lanes.
+// explicit mul + add (-ffp-contract=off) into the same 8 lanes. The partial
+// last block and the reduction tree also stay in registers (see
+// tail_mask and reduce_canonical).
 #include "bitops/kernels/xnor_kernel.h"
 
 #if defined(HOTSPOT_XNOR_AVX512)
@@ -93,6 +95,37 @@ void avx512_xor_popcount_2x4(const std::uint64_t* a0, const std::uint64_t* a1,
   }
 }
 
+// Canonical tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) in registers.
+// Float addition is commutative, so each pairwise vector sum is bit-for-bit
+// its scalar counterpart whichever operand sits in which lane.
+inline float reduce_canonical(__m256 lanes) {
+  const __m256 pairs = _mm256_add_ps(lanes, _mm256_permute_ps(lanes, 0xB1));
+  const __m256 quads = _mm256_add_ps(pairs, _mm256_permute_ps(pairs, 0x4E));
+  return _mm_cvtss_f32(_mm_add_ss(_mm256_castps256_ps128(quads),
+                                  _mm256_extractf128_ps(quads, 1)));
+}
+
+// lanes += alpha * (dot_bits - 2 * popcount(a ^ b)) for one 8-channel
+// block: an explicit mul + add per lane, the canonical two roundings.
+inline __m256 accumulate(__m256 lanes, __m512i av, __m512i bv, __m256 alphav,
+                         __m256 bits) {
+  const __m256 mismatches =
+      _mm512_cvtepi64_ps(_mm512_popcnt_epi64(_mm512_xor_si512(av, bv)));
+  return _mm256_add_ps(
+      lanes, _mm256_mul_ps(alphav, _mm256_sub_ps(
+                                       bits, _mm256_add_ps(mismatches,
+                                                           mismatches))));
+}
+
+// The partial last block runs as one more vector block with masked-off
+// lanes loaded as zero words and zero alpha. Each such lane adds
+// 0 * dot_bits = +0.0f, which leaves it unchanged: a lane starts at +0.0f
+// and can never become -0.0f (x + -0.0f and x + (-x) round to +0.0f), so
+// the result equals the canonical partial block that skips those lanes.
+inline __mmask8 tail_mask(std::int64_t remaining) {
+  return static_cast<__mmask8>((1u << remaining) - 1);
+}
+
 float avx512_weighted_sum(const std::uint64_t* a, const std::uint64_t* b,
                           const float* alpha, std::int64_t channels,
                           float dot_bits) {
@@ -100,25 +133,17 @@ float avx512_weighted_sum(const std::uint64_t* a, const std::uint64_t* b,
   const __m256 bits = _mm256_set1_ps(dot_bits);
   std::int64_t c = 0;
   for (; c + 8 <= channels; c += 8) {
-    const __m512i counts = _mm512_popcnt_epi64(
-        _mm512_xor_si512(load512(a + c), load512(b + c)));
-    const __m256 mismatches = _mm512_cvtepi64_ps(counts);
-    const __m256 dot =
-        _mm256_sub_ps(bits, _mm256_add_ps(mismatches, mismatches));
-    lanes = _mm256_add_ps(
-        lanes, _mm256_mul_ps(_mm256_loadu_ps(alpha + c), dot));
+    lanes = accumulate(lanes, load512(a + c), load512(b + c),
+                       _mm256_loadu_ps(alpha + c), bits);
   }
-  alignas(32) float lane_values[8];
-  _mm256_store_ps(lane_values, lanes);
-  for (int lane = 0; c + lane < channels; ++lane) {
-    const auto mismatches =
-        static_cast<float>(std::popcount(a[c + lane] ^ b[c + lane]));
-    lane_values[lane] += alpha[c + lane] * (dot_bits - 2.0f * mismatches);
+  if (c < channels) {
+    const __mmask8 m = tail_mask(channels - c);
+    lanes = accumulate(
+        lanes, _mm512_maskz_loadu_epi64(m, a + c),
+        _mm512_maskz_loadu_epi64(m, b + c),
+        _mm512_castps512_ps256(_mm512_maskz_loadu_ps(m, alpha + c)), bits);
   }
-  return ((lane_values[0] + lane_values[1]) +
-          (lane_values[2] + lane_values[3])) +
-         ((lane_values[4] + lane_values[5]) +
-          (lane_values[6] + lane_values[7]));
+  return reduce_canonical(lanes);
 }
 
 // Four filters per call: one shared (a XOR-side, alpha) load per 8-channel
@@ -137,49 +162,37 @@ void avx512_weighted_sum_x4(const std::uint64_t* a, const std::uint64_t* b0,
   for (; c + 8 <= channels; c += 8) {
     const __m512i av = load512(a + c);
     const __m256 alphav = _mm256_loadu_ps(alpha + c);
-    const __m256 mm0 = _mm512_cvtepi64_ps(
-        _mm512_popcnt_epi64(_mm512_xor_si512(av, load512(b0 + c))));
-    const __m256 mm1 = _mm512_cvtepi64_ps(
-        _mm512_popcnt_epi64(_mm512_xor_si512(av, load512(b1 + c))));
-    const __m256 mm2 = _mm512_cvtepi64_ps(
-        _mm512_popcnt_epi64(_mm512_xor_si512(av, load512(b2 + c))));
-    const __m256 mm3 = _mm512_cvtepi64_ps(
-        _mm512_popcnt_epi64(_mm512_xor_si512(av, load512(b3 + c))));
-    lanes0 = _mm256_add_ps(
-        lanes0, _mm256_mul_ps(alphav,
-                              _mm256_sub_ps(bits, _mm256_add_ps(mm0, mm0))));
-    lanes1 = _mm256_add_ps(
-        lanes1, _mm256_mul_ps(alphav,
-                              _mm256_sub_ps(bits, _mm256_add_ps(mm1, mm1))));
-    lanes2 = _mm256_add_ps(
-        lanes2, _mm256_mul_ps(alphav,
-                              _mm256_sub_ps(bits, _mm256_add_ps(mm2, mm2))));
-    lanes3 = _mm256_add_ps(
-        lanes3, _mm256_mul_ps(alphav,
-                              _mm256_sub_ps(bits, _mm256_add_ps(mm3, mm3))));
+    lanes0 = accumulate(lanes0, av, load512(b0 + c), alphav, bits);
+    lanes1 = accumulate(lanes1, av, load512(b1 + c), alphav, bits);
+    lanes2 = accumulate(lanes2, av, load512(b2 + c), alphav, bits);
+    lanes3 = accumulate(lanes3, av, load512(b3 + c), alphav, bits);
   }
-  alignas(32) float lv[4][8];
-  _mm256_store_ps(lv[0], lanes0);
-  _mm256_store_ps(lv[1], lanes1);
-  _mm256_store_ps(lv[2], lanes2);
-  _mm256_store_ps(lv[3], lanes3);
-  const std::uint64_t* const filters[4] = {b0, b1, b2, b3};
-  for (int f = 0; f < 4; ++f) {
-    for (int lane = 0; c + lane < channels; ++lane) {
-      const auto mismatches = static_cast<float>(
-          std::popcount(a[c + lane] ^ filters[f][c + lane]));
-      lv[f][lane] += alpha[c + lane] * (dot_bits - 2.0f * mismatches);
-    }
-    out[f] = ((lv[f][0] + lv[f][1]) + (lv[f][2] + lv[f][3])) +
-             ((lv[f][4] + lv[f][5]) + (lv[f][6] + lv[f][7]));
+  if (c < channels) {
+    const __mmask8 m = tail_mask(channels - c);
+    const __m512i av = _mm512_maskz_loadu_epi64(m, a + c);
+    const __m256 alphav =
+        _mm512_castps512_ps256(_mm512_maskz_loadu_ps(m, alpha + c));
+    lanes0 = accumulate(lanes0, av, _mm512_maskz_loadu_epi64(m, b0 + c),
+                        alphav, bits);
+    lanes1 = accumulate(lanes1, av, _mm512_maskz_loadu_epi64(m, b1 + c),
+                        alphav, bits);
+    lanes2 = accumulate(lanes2, av, _mm512_maskz_loadu_epi64(m, b2 + c),
+                        alphav, bits);
+    lanes3 = accumulate(lanes3, av, _mm512_maskz_loadu_epi64(m, b3 + c),
+                        alphav, bits);
   }
+  out[0] = reduce_canonical(lanes0);
+  out[1] = reduce_canonical(lanes1);
+  out[2] = reduce_canonical(lanes2);
+  out[3] = reduce_canonical(lanes3);
 }
 
 }  // namespace
 
 const XnorKernel& xnor_kernel_avx512() {
   static const XnorKernel kernel{
-      "avx512",          /*simd_bits=*/512,
+      "avx512", "binary_conv.gemm.avx512",
+      /*simd_bits=*/512,
       /*word_multiple=*/8, avx512_xor_popcount,
       avx512_xor_popcount_2x4, avx512_weighted_sum,
       avx512_weighted_sum_x4,

@@ -93,7 +93,8 @@ void scalar_weighted_sum_x4(const std::uint64_t* a, const std::uint64_t* b0,
 
 const XnorKernel& xnor_kernel_scalar() {
   static const XnorKernel kernel{
-      "scalar",          /*simd_bits=*/64,
+      "scalar", "binary_conv.gemm.scalar",
+      /*simd_bits=*/64,
       /*word_multiple=*/1, scalar_xor_popcount,
       scalar_xor_popcount_2x4, scalar_weighted_sum,
       scalar_weighted_sum_x4,

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tensor/tensor_ops.h"
+#include "util/parallel.h"
 
 namespace hotspot::bitops {
 
@@ -59,12 +60,15 @@ tensor::Tensor box_filter_abs_mean_impl(const tensor::Tensor& input,
 
   tensor::Tensor out({n, c, out_h, out_w});
   // Integral image S[y][x] = sum of |input| over [0,y) x [0,x); window sums
-  // become four lookups.
-  std::vector<double> integral(
-      static_cast<std::size_t>((h + 1) * (w + 1)), 0.0);
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
-      const float* plane = input.data() + (ni * c + ci) * h * w;
+  // become four lookups. Planes are independent, so they run in parallel,
+  // each chunk with its own integral scratch.
+  const std::int64_t grain = util::grain_for_work(h * w);
+  util::parallel_for(0, n * c, grain, [&](std::int64_t lo, std::int64_t hi) {
+    std::vector<double> integral(
+        static_cast<std::size_t>((h + 1) * (w + 1)), 0.0);
+    for (std::int64_t index = lo; index < hi; ++index) {
+      const std::int64_t ci = index % c;
+      const float* plane = input.data() + index * h * w;
       for (std::int64_t y = 0; y < h; ++y) {
         double row_sum = 0.0;
         for (std::int64_t x = 0; x < w; ++x) {
@@ -75,7 +79,7 @@ tensor::Tensor box_filter_abs_mean_impl(const tensor::Tensor& input,
               row_sum;
         }
       }
-      float* dst = out.data() + (ni * c + ci) * out_h * out_w;
+      float* dst = out.data() + index * out_h * out_w;
       for (std::int64_t oy = 0; oy < out_h; ++oy) {
         // Window rows clamped to the image (zero padding contributes 0).
         const std::int64_t y0 = std::max<std::int64_t>(
@@ -96,8 +100,39 @@ tensor::Tensor box_filter_abs_mean_impl(const tensor::Tensor& input,
         }
       }
     }
-  }
+  });
   return out;
+}
+
+// Channel mean of |transform(v, c)| -> [N,1,H,W]: the scalar-mode map
+// before the box filter. Every (n, y) row is independent; within a pixel
+// the channels accumulate in ascending order in double.
+template <typename TransformFn>
+tensor::Tensor channel_abs_mean_impl(const tensor::Tensor& input,
+                                     TransformFn&& transform) {
+  HOTSPOT_CHECK_EQ(input.rank(), 4);
+  const std::int64_t n = input.dim(0);
+  const std::int64_t c = input.dim(1);
+  const std::int64_t h = input.dim(2);
+  const std::int64_t w = input.dim(3);
+  tensor::Tensor mean_abs({n, 1, h, w});
+  const std::int64_t grain = util::grain_for_work(w * c);
+  util::parallel_for(0, n * h, grain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t row = lo; row < hi; ++row) {
+      const std::int64_t ni = row / h;
+      const std::int64_t y = row % h;
+      for (std::int64_t x = 0; x < w; ++x) {
+        double total = 0.0;
+        for (std::int64_t ci = 0; ci < c; ++ci) {
+          total += std::fabs(static_cast<double>(
+              transform(input.at4(ni, ci, y, x), ci)));
+        }
+        mean_abs.at4(ni, 0, y, x) =
+            static_cast<float>(total / static_cast<double>(c));
+      }
+    }
+  });
+  return mean_abs;
 }
 
 // BatchNorm2d's inference expression, float op for float op.
@@ -125,28 +160,14 @@ tensor::Tensor input_scales_per_channel_affine(const tensor::Tensor& input,
 tensor::Tensor input_scales_scalar_affine(const tensor::Tensor& input,
                                           const tensor::ConvSpec& spec,
                                           const ChannelAffine& affine) {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  // Channel mean of |bn(x)| -> [N,1,H,W], same double accumulation as
-  // input_scales_scalar over the materialized BN output.
-  tensor::Tensor mean_abs({n, 1, h, w});
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t y = 0; y < h; ++y) {
-      for (std::int64_t x = 0; x < w; ++x) {
-        double total = 0.0;
-        for (std::int64_t ci = 0; ci < c; ++ci) {
-          total += std::fabs(static_cast<double>(
-              affine_eval(affine, input.at4(ni, ci, y, x), ci)));
-        }
-        mean_abs.at4(ni, 0, y, x) =
-            static_cast<float>(total / static_cast<double>(c));
-      }
-    }
-  }
-  return box_filter_abs_mean(mean_abs, spec);
+  // Same double accumulation as input_scales_scalar over the materialized
+  // BN output.
+  return box_filter_abs_mean(
+      channel_abs_mean_impl(input,
+                            [&affine](float v, std::int64_t c) {
+                              return affine_eval(affine, v, c);
+                            }),
+      spec);
 }
 
 tensor::Tensor input_scales_per_channel(const tensor::Tensor& input,
@@ -156,26 +177,10 @@ tensor::Tensor input_scales_per_channel(const tensor::Tensor& input,
 
 tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
                                    const tensor::ConvSpec& spec) {
-  HOTSPOT_CHECK_EQ(input.rank(), 4);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
   // A = mean over channels of |T_in| -> [N,1,H,W].
-  tensor::Tensor mean_abs({n, 1, h, w});
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t y = 0; y < h; ++y) {
-      for (std::int64_t x = 0; x < w; ++x) {
-        double total = 0.0;
-        for (std::int64_t ci = 0; ci < c; ++ci) {
-          total += std::fabs(static_cast<double>(input.at4(ni, ci, y, x)));
-        }
-        mean_abs.at4(ni, 0, y, x) =
-            static_cast<float>(total / static_cast<double>(c));
-      }
-    }
-  }
-  return box_filter_abs_mean(mean_abs, spec);
+  return box_filter_abs_mean(
+      channel_abs_mean_impl(input, [](float v, std::int64_t) { return v; }),
+      spec);
 }
 
 }  // namespace hotspot::bitops

@@ -25,10 +25,14 @@ BitMatrix pack_patches(const BitPlanes& planes, const tensor::ConvSpec& spec);
 // Packs conv weights [Cout,Cin,kh,kw] into rows of Cin*kh*kw bits.
 BitMatrix pack_filters(const tensor::Tensor& weight);
 
-// Channel-blocked packing used by the per-channel scaling mode (Eq. 14):
-// each input channel's kh*kw patch bits occupy their own 64-bit word, so a
+// Channel-blocked layout of the per-channel scaling mode (Eq. 14): each
+// input channel's kh*kw patch bits occupy their own 64-bit word, so a
 // per-channel +/-1 dot is one XOR + popcount. Requires kh*kw <= 64.
-// Rows are output positions, and row r holds Cin words.
+// pack_filters_channel_blocked packs the weights the per-channel conv
+// runs on. The patch packers materialize the whole patch matrix (rows are
+// output positions, row r holds Cin words); inference never does that
+// (core::direct_conv_per_channel builds one output row at a time), so they
+// serve as the test oracle for the direct conv and as a bench stage.
 BitMatrix pack_patches_channel_blocked(const tensor::Tensor& input,
                                        const tensor::ConvSpec& spec);
 BitMatrix pack_patches_channel_blocked(const BitPlanes& planes,

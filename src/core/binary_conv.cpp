@@ -263,32 +263,28 @@ const BinaryConv2d::PackedCache& BinaryConv2d::refresh_packed_cache() {
 Tensor BinaryConv2d::forward_packed(const Tensor& input) {
   const PackedCache& cache = refresh_packed_cache();
   const bitops::XnorKernel& kern = *cache.kernel;
-  // Per-kernel span name ("binary_conv.gemm.avx2", ...): trace timelines
-  // and span reports say which kernel ran the XNOR inner loops.
-  const std::string gemm_span = std::string("binary_conv.gemm.") + kern.name;
   const std::int64_t n = input.dim(0);
   const std::int64_t out_h = tensor::conv_out_extent(
       input.dim(2), spec_.kernel_h, spec_.stride, spec_.pad);
   const std::int64_t out_w = tensor::conv_out_extent(
       input.dim(3), spec_.kernel_w, spec_.stride, spec_.pad);
-  const std::int64_t positions = out_h * out_w;
   const Tensor& alpha_w = cache.alpha_w;
   Tensor output({n, out_channels_, out_h, out_w});
 
   if (scaling_ == bitops::InputScaling::kPerChannel) {
-    // Channel-blocked lanes: one word per channel so each per-channel dot is
-    // a single XOR + popcount, scaled by alpha_T(c, position) (Eq. 14-15).
-    bitops::BitMatrix patches;
+    // Sign bits once per activation, then the direct conv walks them row
+    // by row, scaling each per-channel dot by alpha_T(c, position)
+    // (Eq. 14-15).
+    bitops::BitPlanes planes;
     Tensor alpha_t;
     {
       HOTSPOT_TRACE_SPAN("binary_conv.pack");
-      patches = bitops::pack_patches_channel_blocked(input, spec_);
+      planes = bitops::BitPlanes(input);
       alpha_t = bitops::input_scales_per_channel(input, spec_);
     }
-    HOTSPOT_TRACE_SPAN(gemm_span);
-    packed_conv_per_channel(kern, patches, cache.filters, alpha_t, alpha_w,
-                            in_channels_, out_channels_,
-                            spec_.kernel_h * spec_.kernel_w, output);
+    HOTSPOT_TRACE_SPAN(kern.gemm_span);
+    direct_conv_per_channel(kern, planes, spec_, cache.filters, alpha_t,
+                            alpha_w, output);
     return output;
   }
 
@@ -301,7 +297,7 @@ Tensor BinaryConv2d::forward_packed(const Tensor& input) {
   }
   Tensor counts;
   {
-    HOTSPOT_TRACE_SPAN(gemm_span);
+    HOTSPOT_TRACE_SPAN(kern.gemm_span);
     counts = bitops::xnor_gemm(patches, cache.filters);
   }
   HOTSPOT_TRACE_SPAN("binary_conv.unpack");

@@ -173,8 +173,6 @@ Tensor GraphExecutor::exec_fused(const Op& op, const Tensor* x,
   core::BinaryConv2d& conv = *op.conv;
   const tensor::ConvSpec& spec = conv.spec();
   const bitops::XnorKernel& kern = bitops::active_xnor_kernel();
-  const std::string gemm_span =
-      std::string("binary_conv.gemm.") + kern.name;
   const std::int64_t n = x != nullptr ? x->dim(0) : in_bits->batch();
   const std::int64_t in_h = x != nullptr ? x->dim(2) : in_bits->height();
   const std::int64_t in_w = x != nullptr ? x->dim(3) : in_bits->width();
@@ -189,19 +187,17 @@ Tensor GraphExecutor::exec_fused(const Op& op, const Tensor* x,
 
   if (conv.scaling() == bitops::InputScaling::kPerChannel) {
     HOTSPOT_CHECK(x != nullptr) << "per-channel fusion needs float input";
-    bitops::BitMatrix patches;
+    bitops::BitPlanes bits;
     Tensor alpha_t;
     {
       HOTSPOT_TRACE_SPAN("binary_conv.pack");
-      const bitops::BitPlanes bits(*x, op.thresholds.data());
-      patches = bitops::pack_patches_channel_blocked(bits, spec);
+      bits = bitops::BitPlanes(*x, op.thresholds.data());
       alpha_t = bitops::input_scales_per_channel_affine(*x, spec, affine);
     }
     Tensor output({n, out_channels, out_h, out_w});
-    HOTSPOT_TRACE_SPAN(gemm_span);
-    core::packed_conv_per_channel(kern, patches, op.filters, alpha_t,
-                                  op.alpha_w, conv.in_channels(), out_channels,
-                                  spec.kernel_h * spec.kernel_w, output);
+    HOTSPOT_TRACE_SPAN(kern.gemm_span);
+    core::direct_conv_per_channel(kern, bits, spec, op.filters, alpha_t,
+                                  op.alpha_w, output);
     return output;
   }
 
@@ -218,7 +214,7 @@ Tensor GraphExecutor::exec_fused(const Op& op, const Tensor* x,
   }
   Tensor counts;
   {
-    HOTSPOT_TRACE_SPAN(gemm_span);
+    HOTSPOT_TRACE_SPAN(kern.gemm_span);
     counts = bitops::xnor_gemm(patches, op.filters);
   }
 

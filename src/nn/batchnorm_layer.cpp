@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "tensor/tensor_ops.h"
+#include "util/parallel.h"
 
 namespace hotspot::nn {
 
@@ -63,22 +64,27 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
 
   Tensor output(input.shape());
   cached_xhat_ = Tensor(input.shape());
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t c = 0; c < channels_; ++c) {
+  // (sample, channel) planes are independent: each writes its own slice of
+  // the output and of the xhat cache, element by element as before.
+  const std::int64_t grain = util::grain_for_work(hw);
+  util::parallel_for(0, n * channels_, grain, [&](std::int64_t lo,
+                                                  std::int64_t hi) {
+    for (std::int64_t index = lo; index < hi; ++index) {
+      const std::int64_t c = index % channels_;
       const float mu = mean[c];
       const float inv_std = cached_inv_std_[c];
       const float g = gamma_.value[c];
       const float b = beta_.value[c];
-      const float* in_plane = input.data() + (ni * channels_ + c) * hw;
-      float* xhat_plane = cached_xhat_.data() + (ni * channels_ + c) * hw;
-      float* out_plane = output.data() + (ni * channels_ + c) * hw;
+      const float* in_plane = input.data() + index * hw;
+      float* xhat_plane = cached_xhat_.data() + index * hw;
+      float* out_plane = output.data() + index * hw;
       for (std::int64_t i = 0; i < hw; ++i) {
         const float xhat = (in_plane[i] - mu) * inv_std;
         xhat_plane[i] = xhat;
         out_plane[i] = g * xhat + b;
       }
     }
-  }
+  });
   return output;
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/parallel.h"
+
 namespace hotspot::tensor {
 namespace {
 
@@ -93,33 +95,40 @@ Tensor max_pool2d(const Tensor& input, const PoolSpec& spec, Tensor* argmax) {
   if (argmax != nullptr) {
     *argmax = Tensor({n, c, out_h, out_w});
   }
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t ci = 0; ci < c; ++ci) {
+  // One (sample, channel) plane per index: disjoint output and argmax
+  // slices, each scanned in the same window order as a serial loop.
+  const std::int64_t grain = util::grain_for_work(h * w);
+  util::parallel_for(0, n * c, grain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t index = lo; index < hi; ++index) {
+      const float* plane = input.data() + index * h * w;
+      float* dst = out.data() + index * out_h * out_w;
+      float* dst_arg =
+          argmax != nullptr ? argmax->data() + index * out_h * out_w : nullptr;
       for (std::int64_t oy = 0; oy < out_h; ++oy) {
         for (std::int64_t ox = 0; ox < out_w; ++ox) {
           const std::int64_t y0 = oy * spec.stride;
           const std::int64_t x0 = ox * spec.stride;
           const std::int64_t y1 = std::min(y0 + spec.window, h);
           const std::int64_t x1 = std::min(x0 + spec.window, w);
-          float best = input.at4(ni, ci, y0, x0);
+          float best = plane[y0 * w + x0];
           std::int64_t best_index = y0 * w + x0;
           for (std::int64_t y = y0; y < y1; ++y) {
             for (std::int64_t x = x0; x < x1; ++x) {
-              const float value = input.at4(ni, ci, y, x);
+              const float value = plane[y * w + x];
               if (value > best) {
                 best = value;
                 best_index = y * w + x;
               }
             }
           }
-          out.at4(ni, ci, oy, ox) = best;
-          if (argmax != nullptr) {
-            argmax->at4(ni, ci, oy, ox) = static_cast<float>(best_index);
+          dst[oy * out_w + ox] = best;
+          if (dst_arg != nullptr) {
+            dst_arg[oy * out_w + ox] = static_cast<float>(best_index);
           }
         }
       }
     }
-  }
+  });
   return out;
 }
 

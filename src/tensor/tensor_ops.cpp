@@ -19,9 +19,15 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 Tensor add(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add");
   Tensor out(a.shape());
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    out[i] = a[i] + b[i];
-  }
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  util::parallel_for(0, a.numel(), util::kMinChunkWork, [&](std::int64_t lo,
+                                                            std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      po[i] = pa[i] + pb[i];
+    }
+  });
   return out;
 }
 

@@ -27,6 +27,8 @@ thread_local bool t_in_parallel_region = false;
 // per-chunk scheduling overhead on large ranges.
 constexpr std::int64_t kMaxChunks = 256;
 
+std::atomic<std::int64_t> g_dispatch_count{0};
+
 struct Job {
   const ParallelChunkFn* fn = nullptr;
   std::int64_t begin = 0;
@@ -219,6 +221,10 @@ void set_parallel_threads(int threads) {
   ThreadPool::instance().set_num_threads(threads);
 }
 
+std::int64_t parallel_dispatch_count() {
+  return g_dispatch_count.load(std::memory_order_relaxed);
+}
+
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   const ParallelChunkFn& fn) {
   const std::int64_t range = end - begin;
@@ -237,6 +243,7 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
     fn(begin, end);
     return;
   }
+  g_dispatch_count.fetch_add(1, std::memory_order_relaxed);
   auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->begin = begin;

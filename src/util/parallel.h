@@ -63,4 +63,26 @@ void set_parallel_threads(int threads);
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   const ParallelChunkFn& fn);
 
+// Number of parallel_for calls so far, process-wide, that handed chunks to
+// the pool; calls that ran inline are not counted. Lets tests pin which
+// shapes stay on the caller.
+std::int64_t parallel_dispatch_count();
+
+// Work, in elements touched, below which a chunk is not worth a hand-off
+// to another thread: about a hundred microseconds of streaming float or
+// popcount work, against a few microseconds to wake a pool worker. Sized
+// so that every stage of a batch-1 forward of the 32-px compact network
+// (the serve path; its largest stage, a direct conv, touches 2^16
+// channel words) fits in one chunk and runs on the caller.
+inline constexpr std::int64_t kMinChunkWork = std::int64_t{1} << 17;
+
+// Grain for a loop whose every index touches about `work_per_index`
+// elements: each chunk carries at least kMinChunkWork, so a loop whose
+// whole range is smaller than that runs inline on the caller. A pure
+// function of the shape, like the partition it feeds.
+inline std::int64_t grain_for_work(std::int64_t work_per_index) {
+  const std::int64_t work = work_per_index > 0 ? work_per_index : 1;
+  return (kMinChunkWork + work - 1) / work;
+}
+
 }  // namespace hotspot::util

@@ -4,6 +4,7 @@
 
 #include "nn/serialize.h"
 #include "tensor/tensor_ops.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::core {
 namespace {
@@ -90,7 +91,7 @@ TEST(BrnnModel, CheckpointRoundTrip) {
   const Tensor logits_before = model.forward(x);
 
   const std::string path =
-      std::string(::testing::TempDir()) + "/brnn_checkpoint.bin";
+      testutil::temp_path("brnn_checkpoint.bin");
   ASSERT_TRUE(nn::save_checkpoint(path, model));
 
   util::Rng rng_b(999);  // different init

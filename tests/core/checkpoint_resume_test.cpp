@@ -17,15 +17,14 @@
 #include "nn/sequential.h"
 #include "nn/serialize.h"
 #include "util/fault_injection.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::core {
 namespace {
 
 using tensor::Tensor;
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::temp_path;
 
 // Same easy task the trainer tests use: label = "more than half the pixels
 // set"; learnable by a linear probe in a few epochs.

@@ -4,6 +4,7 @@
 // arithmetic runs in a fixed order within its chunk.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "bitops/xnor_gemm.h"
@@ -104,6 +105,51 @@ TEST_F(ParallelDeterminismTest, BrnnForwardBitIdenticalBothBackends) {
           << " threads=" << threads;
     }
   }
+}
+
+TEST_F(ParallelDeterminismTest, PaperConfigForwardBitIdentical) {
+  // The paper's network on 128x128 clips: every inference stage (the
+  // direct conv, BN, the stem max-pool, the residual adds, the alpha_T box
+  // filter) at batch 3, small enough that some stages run inline and
+  // others split.
+  util::Rng rng(17);
+  BrnnModel model(BrnnConfig::paper(), rng);
+  model.set_training(false);
+  const Tensor images = Tensor::uniform({3, 1, 128, 128}, rng, -1.0f, 1.0f);
+
+  for (const Backend backend : {Backend::kPacked, Backend::kFloatSim}) {
+    model.set_backend(backend);
+    util::set_parallel_threads(1);
+    const Tensor reference = model.forward(images);
+    for (const int threads : kThreadCounts) {
+      util::set_parallel_threads(threads);
+      expect_bit_identical(model.forward(images), reference, "paper_forward",
+                           threads);
+    }
+  }
+}
+
+using ParallelGrainTest = ParallelDeterminismTest;
+
+TEST_F(ParallelGrainTest, CompactBatchOneForwardRunsInline) {
+  // A one-clip serve request on the 32-px compact network: every stage of
+  // the packed forward (sign planes, alpha_T, the direct convs, BN, the
+  // residual adds, the head) fits in one chunk, so none of them hands work
+  // to the pool. A bulk request of 32 clips does split.
+  util::Rng rng(18);
+  BrnnModel model(BrnnConfig::compact(32), rng);
+  model.set_training(false);
+  model.set_backend(Backend::kPacked);
+  const Tensor clip = Tensor::uniform({1, 1, 32, 32}, rng, -1.0f, 1.0f);
+  const Tensor bulk = Tensor::uniform({32, 1, 32, 32}, rng, -1.0f, 1.0f);
+  util::set_parallel_threads(4);
+  model.predict(clip);  // packs the filter caches (a one-off, parallel)
+
+  const std::int64_t before = util::parallel_dispatch_count();
+  model.predict(clip);
+  EXPECT_EQ(util::parallel_dispatch_count(), before);
+  model.predict(bulk);
+  EXPECT_GT(util::parallel_dispatch_count(), before);
 }
 
 TEST_F(ParallelDeterminismTest, TrainingStepBitIdenticalAcrossThreadCounts) {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "tensor/tensor_ops.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::dataset {
 namespace {
@@ -92,7 +93,7 @@ TEST(Dataset, SaveLoadRoundTrip) {
   data.add(make_sample(1, Family::kTipToTip));
   data.add(make_sample(0, Family::kComb, 0.0f));
   const std::string path =
-      std::string(::testing::TempDir()) + "/dataset_roundtrip.bin";
+      testutil::temp_path("dataset_roundtrip.bin");
   ASSERT_TRUE(data.save(path));
   const auto loaded = HotspotDataset::load(path);
   ASSERT_TRUE(loaded.has_value());

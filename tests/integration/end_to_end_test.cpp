@@ -10,6 +10,7 @@
 #include "eval/evaluation.h"
 #include "nn/serialize.h"
 #include "tensor/tensor_ops.h"
+#include "support/temp_dir.h"
 
 namespace hotspot {
 namespace {
@@ -64,7 +65,7 @@ TEST(EndToEnd, TrainedModelSurvivesCheckpointAndPackedDeployment) {
   detector.fit(bench.train, rng);
 
   const std::string path =
-      std::string(::testing::TempDir()) + "/e2e_model.bin";
+      testutil::temp_path("e2e_model.bin");
   ASSERT_TRUE(nn::save_checkpoint(path, detector.model()));
 
   util::Rng fresh_rng(77);

@@ -17,13 +17,12 @@
 #include "nn/serialize.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::nn {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::temp_path;
 
 Sequential make_net(std::uint64_t seed) {
   util::Rng rng(seed);

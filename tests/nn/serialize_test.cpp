@@ -9,13 +9,12 @@
 #include "nn/linear_layer.h"
 #include "nn/sequential.h"
 #include "tensor/tensor_ops.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::nn {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::temp_path;
 
 Sequential make_net(std::uint64_t seed) {
   util::Rng rng(seed);

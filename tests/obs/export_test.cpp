@@ -5,6 +5,8 @@
 #include <fstream>
 #include <string>
 
+#include "support/temp_dir.h"
+
 namespace hotspot::obs {
 namespace {
 
@@ -166,7 +168,7 @@ TEST(ExportJson, ManifestSectionLeads) {
 
 TEST(WriteMetricsJson, RoundTripsThroughFile) {
   const std::string path =
-      std::string(::testing::TempDir()) + "/metrics_export.json";
+      testutil::temp_path("metrics_export.json");
   ASSERT_TRUE(write_metrics_json(path, make_snapshot(), make_spans()));
   std::ifstream in(path, std::ios::binary);
   const std::string contents(std::istreambuf_iterator<char>(in), {});

@@ -14,13 +14,12 @@
 
 #include "util/fault_injection.h"
 #include "util/json.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::obs {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::temp_path;
 
 RequestTrace make_trace(std::uint64_t id) {
   RequestTrace trace;

@@ -9,6 +9,7 @@
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "util/json.h"
+#include "support/temp_dir.h"
 
 // Counts every global allocation so tests can pin the "disabled spans do
 // not allocate" contract. Instrumented at the TU level: the replacement
@@ -152,7 +153,7 @@ TEST_F(TimelineTest, WriteChromeTraceRoundTrips) {
     HOTSPOT_TRACE_SPAN("write.me");
   }
   const std::string path =
-      std::string(::testing::TempDir()) + "/timeline_trace.json";
+      testutil::temp_path("timeline_trace.json");
   ASSERT_TRUE(write_chrome_trace(path, collect_timeline()));
   util::JsonValue doc;
   std::string error;

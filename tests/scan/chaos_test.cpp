@@ -25,6 +25,7 @@
 #include "scan/pipeline.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::scan {
 namespace {
@@ -34,7 +35,7 @@ using layout::Pattern;
 std::string chaos_dir() {
   const char* dir = std::getenv("HOTSPOT_CHAOS_DIR");
   return dir != nullptr && *dir != '\0' ? std::string(dir)
-                                        : std::string(::testing::TempDir());
+                                        : testutil::temp_dir();
 }
 
 std::string journal_path(const char* name) {

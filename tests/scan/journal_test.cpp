@@ -13,13 +13,12 @@
 
 #include "obs/metrics.h"
 #include "util/fault_injection.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::scan {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::temp_path;
 
 void remove_journal(const std::string& path) {
   std::remove(path.c_str());

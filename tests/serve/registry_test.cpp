@@ -5,7 +5,6 @@
 #include "serve/model_registry.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -18,6 +17,7 @@
 #include "tensor/tensor.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::serve {
 namespace {
@@ -27,12 +27,7 @@ using tensor::Tensor;
 
 constexpr std::int64_t kGrid = 16;
 
-std::string temp_path(const std::string& name) {
-  // ctest -j runs each TEST as its own process against a shared TempDir;
-  // the pid keeps concurrent fixtures from clobbering each other's files.
-  return std::string(::testing::TempDir()) + "/" + std::to_string(::getpid()) +
-         "_" + name;
-}
+using testutil::temp_path;
 
 // Saves a compact(kGrid) model with seed-dependent random weights. Distinct
 // seeds give models with (generically) distinct logits — enough to tell

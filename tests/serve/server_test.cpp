@@ -6,7 +6,6 @@
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -25,6 +24,7 @@
 #include "tensor/tensor.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::serve {
 namespace {
@@ -34,12 +34,7 @@ using tensor::Tensor;
 
 constexpr std::int64_t kGrid = 16;
 
-std::string temp_path(const std::string& name) {
-  // ctest -j runs each TEST as its own process against a shared TempDir;
-  // the pid keeps concurrent fixtures from clobbering each other's files.
-  return std::string(::testing::TempDir()) + "/" + std::to_string(::getpid()) +
-         "_" + name;
-}
+using testutil::temp_path;
 
 std::string save_model(const std::string& name, std::uint64_t seed) {
   util::Rng rng(seed);

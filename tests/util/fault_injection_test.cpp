@@ -7,6 +7,7 @@
 
 #include "util/crc32.h"
 #include "util/fault_injection.h"
+#include "support/temp_dir.h"
 
 namespace hotspot::util {
 namespace {
@@ -145,7 +146,7 @@ TEST(FaultInjection, PointNamesAreStable) {
 
 TEST(CorruptionHelpers, TruncateAndFlipBit) {
   const std::string path =
-      std::string(::testing::TempDir()) + "/corruption_helpers.bin";
+      testutil::temp_path("corruption_helpers.bin");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     const std::vector<char> data(100, '\x10');

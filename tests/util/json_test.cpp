@@ -5,6 +5,8 @@
 #include <fstream>
 #include <string>
 
+#include "support/temp_dir.h"
+
 namespace hotspot::util {
 namespace {
 
@@ -123,7 +125,7 @@ TEST(JsonParser, ParsesOwnExportFormat) {
 }
 
 TEST(JsonParserFile, ReadsFromDisk) {
-  const std::string path = std::string(::testing::TempDir()) + "/doc.json";
+  const std::string path = testutil::temp_path("doc.json");
   {
     std::ofstream out(path);
     out << "{\"ok\": true}\n";
