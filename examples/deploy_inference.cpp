@@ -14,10 +14,8 @@
 // With --trace-out <path>, a Chrome trace-event timeline of the packed run
 // is written (open in chrome://tracing or https://ui.perfetto.dev).
 //
-// With --fusion, inference runs through the fused graph executor
-// (BN -> Binarize -> BinaryConv folded into threshold-compare ops,
-// DESIGN.md §14) — same logits bit for bit, fewer float stages — and the
-// roofline table reports one row per fused op.
+// The packed run folds every conv block's BatchNorm into exact binarize
+// thresholds (DESIGN.md §14); the float-sim reference runs BN unfused.
 #include <cstdio>
 #include <ctime>
 #include <string>
@@ -26,8 +24,6 @@
 #include "core/brnn.h"
 #include "core/roofline.h"
 #include "dataset/generator.h"
-#include "graph/executor.h"
-#include "graph/roofline.h"
 #include "nn/serialize.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -53,12 +49,9 @@ int main(int argc, char** argv) {
   std::string model_path = "quickstart_model.bin";
   std::string metrics_out;
   std::string trace_out;
-  bool fusion = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--fusion") {
-      fusion = true;
-    } else if (arg == "--metrics-out") {
+    if (arg == "--metrics-out") {
       if (i + 1 >= argc) {
         return usage_error("--metrics-out requires a path", nullptr);
       }
@@ -105,17 +98,6 @@ int main(int argc, char** argv) {
   }
   model.set_training(false);
   model.set_backend(core::Backend::kPacked);
-  // Installed after the checkpoint load: the fusion passes snapshot BN
-  // statistics at build time.
-  std::shared_ptr<graph::GraphExecutor> executor;
-  if (fusion) {
-    executor = graph::install_executor(model, graph::FusionMode::kFused);
-    std::printf("Fusion on:");
-    for (const graph::PassResult& pass : executor->pass_results()) {
-      std::printf(" %s=%d", pass.name.c_str(), pass.changed);
-    }
-    std::printf("\n");
-  }
   std::printf("Loaded %s (%lld parameters; conv weights deploy as 1 bit "
               "each).\n\n",
               model_path.c_str(),
@@ -130,13 +112,10 @@ int main(int argc, char** argv) {
   const auto indices = clips.all_indices();
   const tensor::Tensor images = clips.batch_images(indices);
 
-  model.forward(images);  // warm-up packs the weights (and plans the graph)
+  model.forward(images);  // warm-up packs the weights
   obs::reset_spans();     // scope the span report to the timed runs
   obs::reset_timeline();
   model.reset_profile();  // keep roofline sample counts in the same window
-  if (executor != nullptr) {
-    executor->reset_profile();
-  }
   util::Stopwatch packed_timer;
   std::vector<int> labels;
   {
@@ -149,14 +128,8 @@ int main(int argc, char** argv) {
   const obs::SpanReport packed_spans = obs::collect_span_report();
   const obs::TimelineReport packed_timeline = obs::collect_timeline();
   const core::RooflineReport roofline =
-      executor != nullptr ? graph::build_graph_roofline(*executor, packed_spans)
-                          : core::build_roofline(model, packed_spans);
+      core::build_roofline(model, packed_spans);
 
-  if (executor != nullptr) {
-    // The override routes every inference forward; drop it so the float-sim
-    // reference below times the module chain, not the fused graph.
-    graph::install_executor(model, graph::FusionMode::kOff);
-  }
   model.set_backend(core::Backend::kFloatSim);
   util::Stopwatch float_timer;
   model.forward(images);
@@ -186,16 +159,11 @@ int main(int argc, char** argv) {
 
     // Sanity-check the instrumentation itself: the per-layer spans should
     // account for (nearly) all of the measured packed inference wall time.
-    // The module chain nests brnn.conv.* inside brnn.layer.* wrappers, so
-    // only the wrappers are summed; the graph executor emits one flat span
-    // per node (brnn.conv.* for fused convs, brnn.layer.* for the rest),
-    // so both prefixes are summed without double counting.
+    // brnn.conv.* spans nest inside the brnn.layer.* wrappers, so only the
+    // wrappers are summed.
     double layer_seconds = 0.0;
     for (const auto& [name, stat] : packed_spans.spans) {
-      const bool node_span =
-          name.rfind("brnn.layer.", 0) == 0 ||
-          (fusion && name.rfind("brnn.conv.", 0) == 0);
-      if (node_span) {
+      if (name.rfind("brnn.layer.", 0) == 0) {
         layer_seconds += stat.total_seconds;
       }
     }

@@ -26,9 +26,6 @@
 //                  uninterrupted run (requires --journal)
 //   --window-deadline-ms  per-window attempt budget; windows that fail past
 //                  the retry budget are quarantined, not hung on
-//   --fusion       classify through the fused graph executor (BN ->
-//                  Binarize -> BinaryConv folded to threshold-compare ops,
-//                  DESIGN.md §14); bit-identical flags, fewer float stages
 //
 // Exits 0 on success, 1 on runtime failure (including quarantined
 // windows — the printed results are then partial), 2 on a bad invocation.
@@ -43,8 +40,6 @@
 #include "core/roofline.h"
 #include "dataset/generator.h"
 #include "eval/metrics.h"
-#include "graph/executor.h"
-#include "graph/roofline.h"
 #include "litho/simulator.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -93,7 +88,6 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::string journal_path;
   bool resume = false;
-  bool fusion = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--stride") {
@@ -119,8 +113,6 @@ int main(int argc, char** argv) {
       journal_path = argv[++i];
     } else if (arg == "--resume") {
       resume = true;
-    } else if (arg == "--fusion") {
-      fusion = true;
     } else if (arg == "--metrics-out") {
       if (i + 1 >= argc) {
         return usage_error("--metrics-out requires a path", nullptr);
@@ -157,25 +149,6 @@ int main(int argc, char** argv) {
       core::BnnDetectorConfig::compact(kImageSize));
   util::Rng rng(7);
   detector.fit(bench.train, rng);
-
-  // Installed after training: the fusion passes snapshot the final BN
-  // statistics. Every scan batch then classifies through the fused graph,
-  // bit-identically to the module chain.
-  std::shared_ptr<graph::GraphExecutor> executor;
-  if (fusion) {
-    executor =
-        graph::install_executor(detector.model(), graph::FusionMode::kFused);
-    std::printf("Fusion on:");
-    for (const graph::PassResult& pass : executor->pass_results()) {
-      std::printf(" %s=%d", pass.name.c_str(), pass.changed);
-    }
-    std::printf("\n");
-    // The executor's sample counters start at zero here, so scope the span
-    // clock to match: the fused roofline covers the scan, not training.
-    if (obs::trace_enabled()) {
-      obs::reset_spans();
-    }
-  }
 
   // Build the chip and stream clip windows over it.
   util::Rng chip_rng(99);
@@ -282,14 +255,9 @@ int main(int argc, char** argv) {
 
   if (obs::trace_enabled()) {
     // Per-layer roofline over everything traced so far (training + scan).
-    // Under --fusion the graph builder attributes each fused op's bitops
-    // once, on the executor's own sample counters.
     const core::RooflineReport roofline =
-        executor != nullptr
-            ? graph::build_graph_roofline(*executor, obs::collect_span_report())
-            : core::build_roofline(detector.model(), obs::collect_span_report());
-    std::printf("\nPer-layer roofline (%s):\n%s\n",
-                executor != nullptr ? "fused scan" : "all traced forwards",
+        core::build_roofline(detector.model(), obs::collect_span_report());
+    std::printf("\nPer-layer roofline (all traced forwards):\n%s\n",
                 core::to_table(roofline).c_str());
   }
 

@@ -43,18 +43,4 @@ BitPlanes::BitPlanes(const tensor::Tensor& input,
       });
 }
 
-BitPlanes::BitPlanes(std::int64_t n, std::int64_t channels, std::int64_t h,
-                     std::int64_t w)
-    : n_(n),
-      c_(channels),
-      h_(h),
-      w_(w),
-      row_words_((w + 63) >> 6),
-      words_(static_cast<std::size_t>(n * channels * h * row_words_), 0) {
-  HOTSPOT_CHECK_GT(n, 0);
-  HOTSPOT_CHECK_GT(channels, 0);
-  HOTSPOT_CHECK_GT(h, 0);
-  HOTSPOT_CHECK_GT(w, 0);
-}
-
 }  // namespace hotspot::bitops

@@ -9,12 +9,12 @@
 // Two binarization rules produce the bits:
 //   - sign:      bit = (v >= 0), matching tensor::sign (sign(0) = +1);
 //   - threshold: bit = (v >= bound) != flip, one BinarizeThreshold per
-//     channel. This is how the graph layer's BN->Binarize fold consumes a
+//     channel. This is how the conv block's BN->Binarize fold consumes a
 //     batch-norm: instead of materializing y = gamma*xhat + beta and taking
 //     sign(y), the fold computes a per-channel bound on the *raw* input
 //     such that the comparison gives the same bit for every finite float
-//     (graph/threshold.h derives the bound by bisection; flip is set for
-//     negative-gamma channels, where y is a decreasing function of x).
+//     (core/binary_conv_block.h derives the bound by bisection; flip is set
+//     for negative-gamma channels, where y is a decreasing function of x).
 #pragma once
 
 #include <cstdint>
@@ -46,12 +46,6 @@ class BitPlanes {
   // Threshold rule: `thresholds` has one entry per channel (input.dim(1)).
   BitPlanes(const tensor::Tensor& input, const BinarizeThreshold* thresholds);
 
-  // All-zero planes for direct bit emission (the graph executor's
-  // integer-threshold popcount-compare path writes conv outputs here
-  // without ever producing a float tensor).
-  BitPlanes(std::int64_t n, std::int64_t channels, std::int64_t h,
-            std::int64_t w);
-
   std::int64_t batch() const { return n_; }
   std::int64_t channels() const { return c_; }
   std::int64_t height() const { return h_; }
@@ -60,9 +54,6 @@ class BitPlanes {
 
   // Bitmap row y of plane (n*channels + c); caller guarantees bounds.
   const std::uint64_t* row(std::int64_t plane, std::int64_t y) const {
-    return words_.data() + (plane * h_ + y) * row_words_;
-  }
-  std::uint64_t* row(std::int64_t plane, std::int64_t y) {
     return words_.data() + (plane * h_ + y) * row_words_;
   }
 

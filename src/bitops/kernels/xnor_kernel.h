@@ -33,11 +33,6 @@
 //            reduction ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). Channels with
 //            alpha[c] == 0 contribute exactly +0.0f, so padding channels
 //            (zero words, zero alpha) never change the result.
-//
-// This dispatch seam is also the backend plug point for the Graph-IR
-// work: a backend provides an XnorKernel (name, layout requirement, the
-// three primitives) and everything downstream — packing geometry included —
-// follows from the table entry.
 #pragma once
 
 #include <cstdint>

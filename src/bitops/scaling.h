@@ -36,8 +36,8 @@ tensor::Tensor input_scales_scalar(const tensor::Tensor& input,
 // BatchNorm2d's forward op order: y = gamma[c] * ((x - mean[c]) *
 // inv_std[c]) + beta[c], all float. The *_affine scale variants below
 // compute alpha_T of the BN *output* directly from the BN *input* without
-// materializing the normalized tensor — the graph layer's BN->BinaryConv
-// fusion needs those scales to match the unfused path bit-for-bit, which
+// materializing the normalized tensor — the conv block's BN->Binarize fold
+// needs those scales to match the unfused path bit-for-bit, which
 // they do because the same float expression feeds the same double
 // accumulation. Pointers must stay valid for the call; arrays are sized to
 // input.dim(1).

@@ -17,9 +17,8 @@ BitMatrix pack_patches(const tensor::Tensor& input,
                        const tensor::ConvSpec& spec);
 
 // Same patch assembly from pre-binarized planes. The tensor overload above
-// is pack_patches(BitPlanes(input), spec); the graph executor passes planes
-// it binarized with per-channel thresholds (or emitted directly as bits)
-// instead, skipping the float sign pass entirely.
+// is pack_patches(BitPlanes(input), spec); a conv with a folded BatchNorm
+// passes planes binarized with per-channel thresholds instead.
 BitMatrix pack_patches(const BitPlanes& planes, const tensor::ConvSpec& spec);
 
 // Packs conv weights [Cout,Cin,kh,kw] into rows of Cin*kh*kw bits.

@@ -34,22 +34,27 @@ BinaryConv2d::BinaryConv2d(std::int64_t in_channels, std::int64_t out_channels,
 }
 
 Tensor BinaryConv2d::forward(const Tensor& input) {
+  return forward_profiled(input, nullptr);
+}
+
+Tensor BinaryConv2d::forward_folded(const Tensor& input, const BnFold& fold) {
+  HOTSPOT_CHECK(!training_ && backend_ == Backend::kPacked)
+      << "a folded BatchNorm runs only on the packed inference path";
+  return forward_profiled(input, &fold);
+}
+
+Tensor BinaryConv2d::forward_profiled(const Tensor& input,
+                                      const BnFold* fold) {
   HOTSPOT_CHECK_EQ(input.rank(), 4);
   HOTSPOT_CHECK_EQ(input.dim(1), in_channels_);
+  const bool packed = !training_ && backend_ == Backend::kPacked;
   if (!span_label_.empty() && obs::trace_enabled()) {
     obs::TraceSpan span(span_label_);
     profile_samples_.fetch_add(static_cast<std::uint64_t>(input.dim(0)),
                                std::memory_order_relaxed);
-    return forward_dispatch(input);
+    return packed ? forward_packed(input, fold) : forward_float_sim(input);
   }
-  return forward_dispatch(input);
-}
-
-Tensor BinaryConv2d::forward_dispatch(const Tensor& input) {
-  if (!training_ && backend_ == Backend::kPacked) {
-    return forward_packed(input);
-  }
-  return forward_float_sim(input);
+  return packed ? forward_packed(input, fold) : forward_float_sim(input);
 }
 
 Tensor BinaryConv2d::forward_float_sim(const Tensor& input) {
@@ -260,7 +265,7 @@ const BinaryConv2d::PackedCache& BinaryConv2d::refresh_packed_cache() {
   return *published;
 }
 
-Tensor BinaryConv2d::forward_packed(const Tensor& input) {
+Tensor BinaryConv2d::forward_packed(const Tensor& input, const BnFold* fold) {
   const PackedCache& cache = refresh_packed_cache();
   const bitops::XnorKernel& kern = *cache.kernel;
   const std::int64_t n = input.dim(0);
@@ -271,16 +276,24 @@ Tensor BinaryConv2d::forward_packed(const Tensor& input) {
   const Tensor& alpha_w = cache.alpha_w;
   Tensor output({n, out_channels_, out_h, out_w});
 
+  // Bits once per activation: sign(x), or with a fold, the thresholds
+  // that equal sign(BN(x)).
+  const auto binarize = [&] {
+    return fold != nullptr ? bitops::BitPlanes(input, fold->thresholds)
+                           : bitops::BitPlanes(input);
+  };
   if (scaling_ == bitops::InputScaling::kPerChannel) {
-    // Sign bits once per activation, then the direct conv walks them row
-    // by row, scaling each per-channel dot by alpha_T(c, position)
-    // (Eq. 14-15).
+    // The direct conv walks the bit planes row by row, scaling each
+    // per-channel dot by alpha_T(c, position) (Eq. 14-15).
     bitops::BitPlanes planes;
     Tensor alpha_t;
     {
       HOTSPOT_TRACE_SPAN("binary_conv.pack");
-      planes = bitops::BitPlanes(input);
-      alpha_t = bitops::input_scales_per_channel(input, spec_);
+      planes = binarize();
+      alpha_t = fold != nullptr
+                    ? bitops::input_scales_per_channel_affine(input, spec_,
+                                                              fold->affine)
+                    : bitops::input_scales_per_channel(input, spec_);
     }
     HOTSPOT_TRACE_SPAN(kern.gemm_span);
     direct_conv_per_channel(kern, planes, spec_, cache.filters, alpha_t,
@@ -293,7 +306,7 @@ Tensor BinaryConv2d::forward_packed(const Tensor& input) {
   bitops::BitMatrix patches;
   {
     HOTSPOT_TRACE_SPAN("binary_conv.pack");
-    patches = bitops::pack_patches(input, spec_);
+    patches = bitops::pack_patches(binarize(), spec_);
   }
   Tensor counts;
   {
@@ -301,9 +314,12 @@ Tensor BinaryConv2d::forward_packed(const Tensor& input) {
     counts = bitops::xnor_gemm(patches, cache.filters);
   }
   HOTSPOT_TRACE_SPAN("binary_conv.unpack");
-  const Tensor alpha = scaling_ == bitops::InputScaling::kScalar
-                           ? bitops::input_scales_scalar(input, spec_)
-                           : Tensor();
+  Tensor alpha;
+  if (scaling_ == bitops::InputScaling::kScalar) {
+    alpha = fold != nullptr
+                ? bitops::input_scales_scalar_affine(input, spec_, fold->affine)
+                : bitops::input_scales_scalar(input, spec_);
+  }
   packed_conv_epilogue(counts, alpha_w, alpha.numel() > 0 ? &alpha : nullptr,
                        out_channels_, output);
   return output;

@@ -19,6 +19,11 @@
 //   kPacked   - weights and activations packed into uint64 lanes, the
 //               convolution reduced to XNOR + popcount; the deployment
 //               path whose speedup Fig. 1 / Table 3 report.
+//
+// The packed path can also take the BatchNorm that precedes the conv in the
+// Fig. 3 block as a BnFold (see core/binary_conv_block.h): the conv then
+// reads the raw BN input, and the pack stage binarizes it with exact
+// per-channel thresholds instead of sign(BN(x)).
 #pragma once
 
 #include <atomic>
@@ -26,6 +31,7 @@
 #include <mutex>
 #include <vector>
 
+#include "bitops/bit_planes.h"
 #include "bitops/kernels/xnor_kernel.h"
 #include "bitops/scaling.h"
 #include "bitops/xnor_gemm.h"
@@ -37,6 +43,16 @@ namespace hotspot::core {
 
 enum class Backend { kFloatSim, kPacked };
 
+// An inference-mode BatchNorm folded into the packed forward. `thresholds`
+// (one per input channel) reproduce sign(BN(x)) bit for bit on the raw
+// input x; `affine` is the same BN, from which the alpha_T input scales of
+// BN(x) are computed without materializing it (bitops::*_affine). Both
+// point into storage the caller keeps alive for the call.
+struct BnFold {
+  const bitops::BinarizeThreshold* thresholds = nullptr;
+  bitops::ChannelAffine affine;
+};
+
 class BinaryConv2d : public nn::Module {
  public:
   BinaryConv2d(std::int64_t in_channels, std::int64_t out_channels,
@@ -47,6 +63,11 @@ class BinaryConv2d : public nn::Module {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override;
+
+  // Packed inference forward of conv(BN(input)) from the raw BN input, with
+  // the BN given as `fold`. Output equals forward(bn.forward(input)) bit for
+  // bit. Only valid in eval mode on the kPacked backend.
+  Tensor forward_folded(const Tensor& input, const BnFold& fold);
 
   // Execution path used when not training (training always runs kFloatSim).
   void set_backend(Backend backend) { backend_ = backend; }
@@ -111,9 +132,9 @@ class BinaryConv2d : public nn::Module {
     Tensor alpha_w;
   };
 
-  Tensor forward_dispatch(const Tensor& input);
+  Tensor forward_profiled(const Tensor& input, const BnFold* fold);
   Tensor forward_float_sim(const Tensor& input);
-  Tensor forward_packed(const Tensor& input);
+  Tensor forward_packed(const Tensor& input, const BnFold* fold);
   const PackedCache& refresh_packed_cache();
 
   std::int64_t in_channels_;

@@ -74,13 +74,10 @@ nn::ModulePtr BrnnModel::conv_block(std::int64_t in, std::int64_t out,
                                     std::int64_t kernel, std::int64_t stride,
                                     std::int64_t pad, const std::string& label,
                                     util::Rng& rng) {
-  auto block = std::make_unique<nn::Sequential>();
-  block->emplace<nn::BatchNorm2d>(in);
-  auto conv = std::make_unique<BinaryConv2d>(in, out, kernel, stride, pad,
-                                             config_.scaling, rng);
-  conv->set_span_label(label);
-  binary_convs_.push_back(conv.get());
-  block->add(std::move(conv));
+  auto block = std::make_unique<BinaryConvBlock>(in, out, kernel, stride, pad,
+                                                 config_.scaling, rng);
+  block->conv().set_span_label(label);
+  binary_convs_.push_back(&block->conv());
   return block;
 }
 
@@ -99,9 +96,6 @@ tensor::Tensor BrnnModel::forward(const Tensor& input) {
   // backward still runs through net_.backward(), which is equivalent
   // because each module caches its own forward state.
   HOTSPOT_TRACE_SPAN("brnn.forward");
-  if (!training_ && forward_override_) {
-    return forward_override_(input);
-  }
   Tensor current = input;
   for (std::size_t i = 0; i < net_.size(); ++i) {
     obs::TraceSpan span(layer_labels_[i]);

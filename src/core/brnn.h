@@ -1,17 +1,15 @@
 // The binarized residual network architecture of Fig. 2.
 //
-// Every convolution block is BatchNorm -> Binarize -> BinaryConv (Fig. 3;
-// the binarize step lives inside BinaryConv2d, which consumes the real-
-// valued BN output so it can also derive the alpha_T input scales). Residual
-// blocks use two 3x3 binary conv blocks on the main path and a 1x1 binary
-// conv block on the shortcut wherever shapes change. The paper's full
+// Every convolution block is BatchNorm -> Binarize -> BinaryConv (Fig. 3),
+// one BinaryConvBlock each; packed inference folds the BN into the conv's
+// binarize step (core/binary_conv_block.h). Residual blocks use two 3x3
+// binary conv blocks on the main path and a 1x1 binary conv block on the
+// shortcut wherever shapes change. The paper's full
 // network is 12 weight layers: stem conv + 5 residual blocks (2 convs each)
 // + the fully connected classifier head.
 #pragma once
 
-#include <functional>
-
-#include "core/binary_conv.h"
+#include "core/binary_conv_block.h"
 #include "nn/batchnorm_layer.h"
 #include "nn/linear_layer.h"
 #include "nn/sequential.h"
@@ -79,26 +77,13 @@ class BrnnModel : public nn::Module {
   // the caller).
   std::vector<int> predict(const Tensor& images);
 
-  // Replaces the inference forward pass (graph executor hook; see
-  // src/graph/executor.h). When set, forward() routes every non-training
-  // call through the override instead of the module chain; training
-  // forwards always run the modules so backward() stays valid. The override
-  // must be a drop-in: same input contract, bit-identical logits. Pass an
-  // empty function to restore the module chain.
-  void set_forward_override(std::function<Tensor(const Tensor&)> override_fn) {
-    forward_override_ = std::move(override_fn);
-  }
-  bool has_forward_override() const {
-    return static_cast<bool>(forward_override_);
-  }
-
   // Zeroes every binary convolution's roofline sample counter. Pair with
   // obs::reset_spans() so build_roofline() joins matching windows.
   void reset_profile();
 
  private:
-  // Builds BN -> BinaryConv with the given geometry, registering the conv
-  // for backend switching under the given roofline span label
+  // Builds a BN -> BinaryConv block with the given geometry, registering
+  // the conv for backend switching under the given roofline span label
   // ("brnn.conv.stem", "brnn.conv.block<i>{a,b,sc}").
   nn::ModulePtr conv_block(std::int64_t in, std::int64_t out,
                            std::int64_t kernel, std::int64_t stride,
@@ -109,7 +94,6 @@ class BrnnModel : public nn::Module {
   nn::Sequential net_;
   std::vector<BinaryConv2d*> binary_convs_;
   std::vector<std::string> layer_labels_;
-  std::function<Tensor(const Tensor&)> forward_override_;
 };
 
 }  // namespace hotspot::core

@@ -1,12 +1,10 @@
 // Shared inner loops of the packed XNOR-popcount convolution.
 //
-// BinaryConv2d::forward_packed and the graph executor's fused
-// BN->Binarize->BinaryConv op both reduce to these routines; keeping them
-// in one place is what makes "fused executor bit-identical to the module
-// chain" hold by construction rather than by re-implementation. The float
-// accumulation order inside is pinned by the XnorKernel contract
-// (kernels/xnor_kernel.h), so outputs are also identical across
-// scalar/AVX2/AVX-512.
+// BinaryConv2d::forward_packed runs these after its pack stage, with or
+// without a folded BatchNorm, so the folded and unfused forwards share every
+// float operation after binarization. The float accumulation order inside
+// is pinned by the XnorKernel contract (kernels/xnor_kernel.h), so outputs
+// are also identical across scalar/AVX2/AVX-512.
 #pragma once
 
 #include "bitops/bit_matrix.h"

@@ -33,9 +33,10 @@ class BatchNorm2d : public Module {
   float epsilon() const { return epsilon_; }
 
   // Per-channel 1/sqrt(var + eps) exactly as the inference forward computes
-  // it, including the negative-variance clamp. The graph layer's
-  // BN->Binarize fold evaluates its thresholds against these floats, so
-  // folded and unfused paths normalize with bit-identical factors.
+  // it, including the negative-variance clamp. The conv block's
+  // BN->Binarize fold (core/binary_conv_block.h) evaluates its thresholds
+  // against these floats, so folded and unfused paths normalize with
+  // bit-identical factors.
   Tensor inference_inv_std() const;
 
  private:

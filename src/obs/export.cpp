@@ -7,9 +7,13 @@
 #include <sstream>
 #include <vector>
 
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace hotspot::obs {
+
+using util::json_escape;
+
 namespace {
 
 std::string format_double(double value) {
@@ -31,18 +35,6 @@ std::string format_micros(std::uint64_t nanos) {
   std::snprintf(buffer, sizeof(buffer), "%.3f",
                 static_cast<double>(nanos) / 1e3);
   return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
 }
 
 // Prometheus label values allow anything, but `\`, `"`, and newlines must

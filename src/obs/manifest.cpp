@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include "util/json.h"
 #include "util/parallel.h"
 
 // Baked in by src/obs/CMakeLists.txt; fall back cleanly when built by hand.
@@ -20,6 +21,9 @@
 extern char** environ;
 
 namespace hotspot::obs {
+
+using util::json_escape;
+
 namespace {
 
 std::string compiler_string() {
@@ -30,18 +34,6 @@ std::string compiler_string() {
 #else
   return "unknown";
 #endif
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
 }
 
 std::mutex& notes_mutex() {

@@ -8,8 +8,12 @@
 
 #include "util/atomic_file.h"
 #include "util/fault_injection.h"
+#include "util/json.h"
 
 namespace hotspot::obs {
+
+using util::json_escape;
+
 namespace {
 
 std::int64_t steady_now_ns() {
@@ -27,18 +31,6 @@ std::string format_double(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.9g", value);
   return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
 }
 
 }  // namespace

@@ -19,29 +19,17 @@
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace hotspot::serve {
+
+using util::json_escape;
+
 namespace {
 
 // A scrape request has no business being bigger than this; anything longer
 // is garbage (or not HTTP) and the connection is dropped.
 constexpr std::size_t kMaxRequestBytes = 8192;
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    if (c == '\n') {
-      escaped += "\\n";
-      continue;
-    }
-    escaped += c;
-  }
-  return escaped;
-}
 
 const char* status_reason(int status) {
   switch (status) {

@@ -9,21 +9,8 @@
 #include "util/rng.h"
 
 namespace hotspot::serve {
-namespace {
 
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
-}
-
-}  // namespace
+using util::json_escape;
 
 ServableModel::ServableModel(std::string path, std::int64_t image_size,
                              std::uint64_t version)

@@ -399,6 +399,34 @@ class Parser {
 
 }  // namespace
 
+std::string json_escape(const std::string& text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string escaped;
+  escaped.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': escaped += "\\\""; break;
+      case '\\': escaped += "\\\\"; break;
+      case '\n': escaped += "\\n"; break;
+      case '\t': escaped += "\\t"; break;
+      case '\r': escaped += "\\r"; break;
+      case '\b': escaped += "\\b"; break;
+      case '\f': escaped += "\\f"; break;
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          escaped += "\\u00";
+          escaped += kHex[byte >> 4];
+          escaped += kHex[byte & 0xF];
+        } else {
+          escaped += c;
+        }
+      }
+    }
+  }
+  return escaped;
+}
+
 bool parse_json(const std::string& text, JsonValue& out, std::string& error) {
   Parser parser(text, error);
   return parser.parse_document(out);

@@ -1,5 +1,6 @@
 // Minimal JSON parser for the repo's own machine-written files (metrics
-// exports, BENCH_*.json, Chrome traces).
+// exports, BENCH_*.json, Chrome traces), and the one string escaper every
+// writer of those files uses.
 //
 // Full JSON value model (null / bool / number / string / array / object)
 // with strict parsing: trailing garbage, unterminated containers, and bad
@@ -74,5 +75,11 @@ bool parse_json(const std::string& text, JsonValue& out, std::string& error);
 // unreadable or malformed.
 bool parse_json_file(const std::string& path, JsonValue& out,
                      std::string& error);
+
+// Escapes `text` for use between the quotes of a JSON string: `"` and `\`,
+// the short forms \n \t \r \b \f, and \u00XX for every other byte below
+// 0x20. Other bytes pass through, so UTF-8 text stays as it is; parse_json
+// reads the escaped string back byte for byte.
+std::string json_escape(const std::string& text);
 
 }  // namespace hotspot::util

@@ -129,6 +129,24 @@ TEST(ModelRegistry, StateFileRestoresAfterRestart) {
   }
 }
 
+TEST(ModelRegistry, StateFileRestoresPathWithControlCharacters) {
+  // The state file is JSON; a model path with control bytes must be
+  // escaped so the restarted registry can parse it back.
+  const std::string model_path =
+      save_model(std::string("registry_ctl\t\n\x01.bin"), 37);
+  const std::string state_path = temp_path("registry_ctl_state.json");
+  std::remove(state_path.c_str());
+  {
+    ModelRegistry registry(state_path);
+    ASSERT_TRUE(registry.load(model_path, kGrid).ok());
+  }
+  ModelRegistry registry(state_path);
+  const nn::LoadResult restored = registry.restore();
+  ASSERT_TRUE(restored.ok()) << restored.message;
+  ASSERT_NE(registry.active(), nullptr);
+  EXPECT_EQ(registry.active()->path(), model_path);
+}
+
 TEST(ModelRegistry, RestoreWithoutStateIsMissing) {
   ModelRegistry no_persistence;
   EXPECT_EQ(no_persistence.restore().status, nn::IoStatus::kMissing);

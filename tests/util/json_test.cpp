@@ -97,6 +97,22 @@ TEST(JsonParser, RejectsUnescapedControlCharacters) {
   expect_parse_fails("\"a\nb\"");
 }
 
+TEST(JsonEscape, EveryAsciiByteRoundTripsThroughParser) {
+  for (int byte = 0; byte < 0x80; ++byte) {
+    const std::string text =
+        "a" + std::string(1, static_cast<char>(byte)) + "z";
+    const JsonValue doc = parse_ok("\"" + json_escape(text) + "\"");
+    ASSERT_TRUE(doc.is_string()) << "byte " << byte;
+    EXPECT_EQ(doc.as_string(), text) << "byte " << byte;
+  }
+  std::string all;
+  for (int byte = 0; byte < 0x80; ++byte) {
+    all += static_cast<char>(byte);
+  }
+  EXPECT_EQ(parse_ok("\"" + json_escape(all) + "\"").as_string(), all);
+  EXPECT_EQ(json_escape("\t\x01\"\\"), "\\t\\u0001\\\"\\\\");
+}
+
 TEST(JsonParser, DeepNestingIsBounded) {
   std::string deep;
   for (int i = 0; i < 500; ++i) {
