@@ -3,8 +3,7 @@
 // for many concurrent clients, micro-batching across them.
 //
 //   ./examples/quickstart
-//   ./examples/hotspot_serve quickstart_model.bin --grid 32 --port 0 \
-//       --port-file /tmp/serve.port &
+//   ./examples/hotspot_serve quickstart_model.bin --port-file /tmp/serve.port &
 //   ./examples/serve_client $(cat /tmp/serve.port) --clips 8 --grid 32
 //
 // The bound port is printed on stdout (and written to --port-file when

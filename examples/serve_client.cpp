@@ -4,8 +4,8 @@
 // clips and the run reports sustained clips/sec plus p50/p95/p99 request
 // latency — the numbers BENCH_serve.json pins.
 //
-//   ./examples/serve_client $(cat /tmp/serve.port) --clients 4 \
-//       --requests 50 --clips 8 --grid 32
+//   PORT=$(cat /tmp/serve.port)
+//   ./examples/serve_client $PORT --clients 4 --requests 50 --clips 8
 //
 // Smoke modes (each exits 0 exactly when the server behaved as §15
 // specifies, so CI legs branch on the exit code):

@@ -2,10 +2,21 @@
 // preprocessing of Sec. 3.4.1 (down-sampling and flips).
 #pragma once
 
+#include <span>
+
 #include "layout/geometry.h"
 #include "tensor/tensor.h"
 
 namespace hotspot::layout {
+
+// The one rasterizer: writes the area-coverage raster of `rects` over
+// `window` into out[0, grid * grid) (row-major, overwritten). Each pixel
+// holds the covered area fraction, accumulated in rect order and clamped
+// at 1. Every raster in the repo (coverage, binary, clips, the scan
+// producer) comes from here; `out` is caller-owned so a hot loop can reuse
+// it.
+void rasterize_coverage_into(std::span<const Rect> rects, const Rect& window,
+                             std::int64_t grid, float* out);
 
 // Rasterizes `pattern` over `window` onto a grid x grid raster. Each pixel
 // holds the covered area fraction in [0,1] (exact, by rect/pixel

@@ -4,9 +4,11 @@
 #include <chrono>
 #include <exception>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 
+#include "layout/raster.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scan/dedup_cache.h"
@@ -14,6 +16,7 @@
 #include "util/bounded_queue.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
+#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace hotspot::scan {
@@ -48,9 +51,17 @@ struct BatchPlan {
 // its weight-1, capacity-2 instantiation.
 using BatchQueue = util::BoundedQueue<BatchPlan>;
 
+// Pixel budget of the producer's key lookahead: the keys of up to this
+// many bytes of upcoming windows are computed at once on the pool. A
+// constant, not a knob: 512 windows at grid 32, one at grids past 724.
+constexpr std::int64_t kLookaheadBytes = std::int64_t{512} << 10;
+
 // Walks the window grid in scan order, rasterizing and deduplicating into
-// fixed-size batches of distinct rasters. Single-threaded by design (see
-// pipeline.h); next_batch() is the producer's only entry point.
+// fixed-size batches of distinct rasters. Window keys (raster bytes + hash)
+// are computed a lookahead at a time with util::parallel_for; everything
+// with state — fault probes, retries, the deadline, dedup and batch
+// assembly — runs serially on the calling thread in scan order, so a batch
+// is a pure function of scan order. next_batch() is the only entry point.
 class BatchProducer {
  public:
   BatchProducer(const ScanConfig& config, const layout::Pattern& chip,
@@ -60,8 +71,19 @@ class BatchProducer {
                 config.step_nm > 0 ? config.step_nm : config.window_nm),
         cache_(config.dedup_max_entries, config.dedup_max_bytes),
         keep_pixels_(!config.journal_path.empty()),
-        stats_(stats) {
+        stats_(stats),
+        pixels_per_window_(config.grid * config.grid),
+        lookahead_capacity_(std::max<std::int64_t>(
+            1, std::min(kLookaheadBytes / pixels_per_window_,
+                        stream_.window_count()))),
+        local_window_{0, 0, stream_.size_nm(), stream_.size_nm()},
+        coverage_(static_cast<std::size_t>(pixels_per_window_)) {
     window_entry_.assign(static_cast<std::size_t>(stream_.window_count()), 0);
+    const auto capacity = static_cast<std::size_t>(lookahead_capacity_);
+    look_keys_.resize(capacity * static_cast<std::size_t>(pixels_per_window_));
+    look_hashes_.resize(capacity);
+    look_seconds_.resize(capacity);
+    look_ok_.resize(capacity);
   }
 
   const ClipWindowStream& stream() const { return stream_; }
@@ -76,7 +98,6 @@ class BatchProducer {
   void adopt(const JournalState& state) {
     HOTSPOT_CHECK_LE(state.windows_done, stream_.window_count())
         << "journal covers more windows than this scan has";
-    stream_.seek(state.windows_done);
     windows_seen_ = state.windows_done;
     next_entry_ = state.entry_count();
     for (std::int64_t w = 0; w < state.windows_done; ++w) {
@@ -101,36 +122,41 @@ class BatchProducer {
     HOTSPOT_TRACE_SPAN("scan.batch.rasterize");
     util::Stopwatch timer;
     const std::int64_t grid = config_.grid;
-    const std::int64_t pixels_per_window = grid * grid;
     std::vector<float> slots;
-    const std::int64_t remaining = stream_.window_count() - windows_seen_;
+    const std::int64_t window_count = stream_.window_count();
+    const std::int64_t remaining = window_count - windows_seen_;
     slots.reserve(static_cast<std::size_t>(
         std::min<std::int64_t>(config_.batch_size, remaining) *
-        pixels_per_window));
+        pixels_per_window_));
     const std::int64_t base_entry = next_entry_;
     const std::int64_t win_begin = windows_seen_;
     std::vector<RasterKey> batch_pixels;
     std::int64_t count = 0;
     std::int64_t windows_in_batch = 0;
     std::int64_t hits_in_batch = 0;
-    WindowRef ref;
-    while (count < config_.batch_size && stream_.next(ref)) {
+    while (count < config_.batch_size &&
+           windows_seen_ + windows_in_batch < window_count) {
+      const std::int64_t w = windows_seen_ + windows_in_batch;
       ++windows_in_batch;
-      WindowOutcome outcome = process_window(ref, pixels_per_window);
+      if (w >= look_end_) {
+        fill_lookahead(w);
+      }
+      const WindowOutcome outcome = process_window(w);
       if (!outcome.ok) {
-        window_entry_[static_cast<std::size_t>(ref.index)] = -1;
+        window_entry_[static_cast<std::size_t>(w)] = -1;
         continue;
       }
-      window_entry_[static_cast<std::size_t>(ref.index)] = outcome.entry;
+      window_entry_[static_cast<std::size_t>(w)] = outcome.entry;
       if (!outcome.is_new) {
         ++hits_in_batch;
         continue;
       }
-      for (const std::uint8_t pixel : outcome.pixels) {
+      const std::span<const std::uint8_t> key = key_of(w);
+      for (const std::uint8_t pixel : key) {
         slots.push_back(static_cast<float>(pixel));
       }
       if (keep_pixels_) {
-        batch_pixels.push_back(std::move(outcome.pixels));
+        batch_pixels.emplace_back(key.begin(), key.end());
       }
       ++next_entry_;
       ++count;
@@ -177,18 +203,72 @@ class BatchProducer {
     bool ok = false;
     bool is_new = false;        // a new distinct raster (needs inference)
     std::int64_t entry = -1;    // entry id (existing on a dedup hit)
-    RasterKey pixels;           // set when is_new
   };
 
+  // Key bytes of window `w`, which the lookahead must hold.
+  std::span<std::uint8_t> key_of(std::int64_t w) {
+    return {look_keys_.data() + (w - look_begin_) * pixels_per_window_,
+            static_cast<std::size_t>(pixels_per_window_)};
+  }
+
+  // Rasterizes window `w` and thresholds it at 0.5 into `key`, using the
+  // caller's scratch buffers. Touches no producer state, so lookahead
+  // chunks run it concurrently.
+  void compute_key(std::int64_t w, std::vector<layout::Rect>& rects,
+                   std::vector<float>& coverage,
+                   std::span<std::uint8_t> key) const {
+    stream_.clip_into(stream_.window_at(w), rects);
+    layout::rasterize_coverage_into(rects, local_window_, config_.grid,
+                                    coverage.data());
+    for (std::size_t p = 0; p < key.size(); ++p) {
+      key[p] = coverage[p] >= 0.5f ? 1 : 0;
+    }
+  }
+
+  // Computes key and hash for windows [first, first + lookahead) on the
+  // pool, each into its own slot. A window whose computation throws is
+  // marked, and its first attempt fails in process_window().
+  void fill_lookahead(std::int64_t first) {
+    const std::int64_t n = std::min(lookahead_capacity_,
+                                    stream_.window_count() - first);
+    look_begin_ = first;
+    look_end_ = first + n;
+    const bool timed = config_.window_deadline_ms > 0;
+    util::parallel_for(
+        0, n, util::grain_for_work(pixels_per_window_),
+        [&](std::int64_t lo, std::int64_t hi) {
+          std::vector<layout::Rect> rects;
+          std::vector<float> coverage(
+              static_cast<std::size_t>(pixels_per_window_));
+          for (std::int64_t i = lo; i < hi; ++i) {
+            const auto slot = static_cast<std::size_t>(i);
+            const std::span<std::uint8_t> key = key_of(first + i);
+            try {
+              util::Stopwatch compute_timer;
+              compute_key(first + i, rects, coverage, key);
+              look_seconds_[slot] = timed ? compute_timer.seconds() : 0.0;
+              look_hashes_[slot] = config_.dedup ? hash_raster(key) : 0;
+              look_ok_[slot] = 1;
+            } catch (...) {
+              look_ok_[slot] = 0;
+            }
+          }
+        });
+  }
+
   // One window, guarded: deadline per attempt, bounded retries with
-  // exponential backoff, quarantine past the budget. The attempt body keeps
-  // all cache mutation last (and RasterDedupCache::insert probes its fault
-  // before mutating), so a failed attempt leaves no partial state behind
-  // and the retry replays cleanly.
-  WindowOutcome process_window(const WindowRef& ref,
-                               std::int64_t pixels_per_window) {
+  // exponential backoff, quarantine past the budget. The first attempt
+  // takes the lookahead's key and is charged its measured compute time, so
+  // a slow raster trips the deadline as a stalled one does; a retry
+  // recomputes the key here. The attempt body keeps all cache mutation
+  // last (and RasterDedupCache::insert probes its fault before mutating),
+  // so a failed attempt leaves no partial state behind and the retry
+  // replays cleanly.
+  WindowOutcome process_window(std::int64_t w) {
     static obs::Counter& retries_counter =
         obs::MetricsRegistry::global().counter("scan.retries");
+    const auto slot = static_cast<std::size_t>(w - look_begin_);
+    const std::span<std::uint8_t> key = key_of(w);
     const int max_attempts = config_.max_retries + 1;
     for (int attempt = 1;; ++attempt) {
       util::Stopwatch attempt_timer;
@@ -197,29 +277,33 @@ class BatchProducer {
         if (util::fault_should_fail(util::FaultPoint::kScanRasterCompute)) {
           throw std::runtime_error("injected raster compute fault");
         }
-        const layout::Clip clip = stream_.materialize(ref);
-        const tensor::Tensor raster = clip.binary(config_.grid);
-        RasterKey pixels(static_cast<std::size_t>(pixels_per_window));
-        const float* src = raster.data();
-        for (std::int64_t i = 0; i < pixels_per_window; ++i) {
-          pixels[static_cast<std::size_t>(i)] = src[i] != 0.0f ? 1 : 0;
+        double compute_seconds = 0.0;
+        if (attempt == 1) {
+          if (look_ok_[slot] == 0) {
+            throw std::runtime_error("raster compute failed");
+          }
+          compute_seconds = look_seconds_[slot];
+        } else {
+          compute_key(w, rects_, coverage_, key);
+          look_hashes_[slot] = config_.dedup ? hash_raster(key) : 0;
         }
         // Cooperative deadline: checked once the attempt's work is done (a
         // wedged computation cannot be preempted, but a stalled one is
         // caught here instead of poisoning the whole scan).
         if (config_.window_deadline_ms > 0 &&
-            attempt_timer.seconds() * 1000.0 > config_.window_deadline_ms) {
+            (attempt_timer.seconds() + compute_seconds) * 1000.0 >
+                config_.window_deadline_ms) {
           throw std::runtime_error("window exceeded deadline");
         }
         if (config_.dedup) {
-          const std::uint64_t hash = hash_raster(pixels);
-          const std::int64_t cached = cache_.find(hash, pixels);
+          const std::uint64_t hash = look_hashes_[slot];
+          const std::int64_t cached = cache_.find(hash, key);
           if (cached >= 0) {
-            return WindowOutcome{true, false, cached, {}};
+            return WindowOutcome{true, false, cached};
           }
-          cache_.insert(hash, pixels, next_entry_);
+          cache_.insert(hash, RasterKey(key.begin(), key.end()), next_entry_);
         }
-        return WindowOutcome{true, true, next_entry_, std::move(pixels)};
+        return WindowOutcome{true, true, next_entry_};
       } catch (...) {
         if (attempt >= max_attempts) {
           return WindowOutcome{};
@@ -239,6 +323,21 @@ class BatchProducer {
   std::vector<std::int64_t> window_entry_;  // window index -> entry id
   std::int64_t next_entry_ = 0;
   std::int64_t windows_seen_ = 0;
+
+  const std::int64_t pixels_per_window_;
+  const std::int64_t lookahead_capacity_;  // windows per lookahead (>= 1)
+  const layout::Rect local_window_;        // the window in its own frame
+  // Scratch for serial recomputation on retries.
+  std::vector<layout::Rect> rects_;
+  std::vector<float> coverage_;
+  // The lookahead holds windows [look_begin_, look_end_), slot i for window
+  // look_begin_ + i.
+  std::int64_t look_begin_ = 0;
+  std::int64_t look_end_ = 0;
+  std::vector<std::uint8_t> look_keys_;      // pixels_per_window_ per slot
+  std::vector<std::uint64_t> look_hashes_;   // 0 when dedup is off
+  std::vector<double> look_seconds_;         // compute time (deadline only)
+  std::vector<std::uint8_t> look_ok_;        // 0 = the computation threw
 };
 
 void throw_if_abort_armed(const char* where) {

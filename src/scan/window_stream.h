@@ -6,11 +6,13 @@
 // materializes one window's geometry on demand, so a scan holds O(batch)
 // windows alive instead of the whole chip.
 //
-// A bucket index over the chip's rects (cell edge = window edge) makes each
+// A flat bucket index over the chip's rects (cell edge = window edge, one
+// CSR array built by count, prefix sum and fill) makes each
 // materialization touch only the rects that can intersect the window,
-// instead of every rect on the chip. Candidates are visited in insertion
-// order, so the produced Clip is bit-identical — same rects, same order —
-// to Pattern::clipped_to over the full rect list.
+// instead of every rect on the chip. A window overlaps at most 2×2 cells;
+// their ascending index lists are merged, so candidates are visited in
+// insertion order and the produced rects are bit-identical — same rects,
+// same order — to Pattern::clipped_to over the full rect list.
 #pragma once
 
 #include <cstdint>
@@ -54,20 +56,17 @@ class ClipWindowStream {
   // Restarts the scan from the first window.
   void reset() { cursor_ = 0; }
 
-  // Positions the cursor so the next next() call yields window `index`
-  // (clamped to [0, window_count()]). Journal resume uses this to skip the
-  // windows a previous run already scored.
-  void seek(std::int64_t index) {
-    cursor_ = index < 0 ? 0
-                        : (index > window_count() ? window_count() : index);
-  }
-
   // Window geometry for an arbitrary grid index (0 <= index < count).
   WindowRef window_at(std::int64_t index) const;
 
   // Clipped geometry of one window, translated to the window's local frame.
   // Bit-identical to full.clipped_to(ref.window) wrapped in a Clip.
   layout::Clip materialize(const WindowRef& ref) const;
+
+  // The rects materialize() returns, written into `out` (cleared first) so
+  // a hot loop can reuse one buffer. Reads only the stream's immutable
+  // index, so concurrent calls with distinct `out` buffers are safe.
+  void clip_into(const WindowRef& ref, std::vector<layout::Rect>& out) const;
 
  private:
   const layout::Pattern* full_;
@@ -79,11 +78,13 @@ class ClipWindowStream {
   std::int64_t rows_ = 0;
   std::int64_t cursor_ = 0;
 
-  // Bucket index: rect indices per cell, cell edge = size_nm, anchored at
-  // the bounding-box origin.
+  // Bucket index, cell edge = size_nm, anchored at the bounding-box
+  // origin: the rects of cell c are cell_rects_[cell_begin_[c],
+  // cell_begin_[c + 1]), in ascending (insertion) order.
   std::int64_t cell_cols_ = 0;
   std::int64_t cell_rows_ = 0;
-  std::vector<std::vector<std::int64_t>> cells_;
+  std::vector<std::int64_t> cell_begin_;
+  std::vector<std::int64_t> cell_rects_;
 };
 
 }  // namespace hotspot::scan

@@ -31,14 +31,15 @@ TEST(WeightScales, EstimateMinimizesBinarizationLoss) {
   auto loss = [&](float a) {
     double total = 0.0;
     for (std::int64_t i = 0; i < w.numel(); ++i) {
-      const double d = static_cast<double>(w[i]) - a * s[i];
+      const double d =
+          static_cast<double>(w[i]) - static_cast<double>(a * s[i]);
       total += d * d;
     }
     return total;
   };
-  EXPECT_LE(loss(alpha), loss(alpha * 1.05) + 1e-9);
-  EXPECT_LE(loss(alpha), loss(alpha * 0.95) + 1e-9);
-  EXPECT_LE(loss(alpha), loss(alpha + 0.1) + 1e-9);
+  EXPECT_LE(loss(alpha), loss(alpha * 1.05f) + 1e-9);
+  EXPECT_LE(loss(alpha), loss(alpha * 0.95f) + 1e-9);
+  EXPECT_LE(loss(alpha), loss(alpha + 0.1f) + 1e-9);
 }
 
 TEST(InputScalesPerChannel, MatchesReferenceBoxConv) {

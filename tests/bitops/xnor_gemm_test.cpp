@@ -83,7 +83,7 @@ TEST(ChannelBlockedPacking, DotsMatchDensePerChannel) {
             const std::int64_t ix = ox - 1 + kx;
             const double sv = (iy < 0 || iy >= 5 || ix < 0 || ix >= 5)
                                   ? -1.0
-                                  : sx.at4(0, ci, iy, ix);
+                                  : static_cast<double>(sx.at4(0, ci, iy, ix));
             expected +=
                 sv * (w.at4(co, ci, ky, kx) >= 0.0f ? 1.0 : -1.0);
           }

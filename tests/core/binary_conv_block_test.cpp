@@ -282,8 +282,8 @@ TEST_P(BinaryConvBlockModelTest, CompactModelBitIdenticalAcrossKernels) {
 
 INSTANTIATE_TEST_SUITE_P(AllScalings, BinaryConvBlockModelTest,
                          ::testing::ValuesIn(kScalings),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case bitops::InputScaling::kPerChannel:
                                return std::string("PerChannel");
                              case bitops::InputScaling::kScalar:

@@ -55,13 +55,14 @@ Tensor reference_forward(const Tensor& x, const Tensor& w,
               }
             double a = 1.0;
             if (mode == InputScaling::kPerChannel) {
-              a = alpha.at4(ni, ci, oy, ox);
+              a = static_cast<double>(alpha.at4(ni, ci, oy, ox));
             } else if (mode == InputScaling::kScalar) {
-              a = alpha.at4(ni, 0, oy, ox);
+              a = static_cast<double>(alpha.at4(ni, 0, oy, ox));
             }
             acc += a * dot;
           }
-          out.at4(ni, co, oy, ox) = static_cast<float>(acc * alpha_w[co]);
+          out.at4(ni, co, oy, ox) =
+              static_cast<float>(acc * static_cast<double>(alpha_w[co]));
         }
   return out;
 }
@@ -108,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(Modes, ScalingModeTest,
                          ::testing::Values(InputScaling::kPerChannel,
                                            InputScaling::kScalar,
                                            InputScaling::kNone),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case InputScaling::kPerChannel:
                                return "PerChannel";
                              case InputScaling::kScalar:

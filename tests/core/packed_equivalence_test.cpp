@@ -67,8 +67,8 @@ INSTANTIATE_TEST_SUITE_P(Modes, PackedEquivalenceTest,
                          ::testing::Values(bitops::InputScaling::kPerChannel,
                                            bitops::InputScaling::kScalar,
                                            bitops::InputScaling::kNone),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case bitops::InputScaling::kPerChannel:
                                return "PerChannel";
                              case bitops::InputScaling::kScalar:

@@ -75,8 +75,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllFamilies, FamilyParamTest,
     ::testing::Values(Family::kDenseLines, Family::kTipToTip, Family::kJog,
                       Family::kContacts, Family::kComb, Family::kTJunction),
-    [](const auto& info) {
-      std::string name = to_string(info.param);
+    [](const auto& param_info) {
+      std::string name = to_string(param_info.param);
       for (auto& ch : name) {
         if (ch == '-') {
           ch = '_';

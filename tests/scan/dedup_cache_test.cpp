@@ -189,20 +189,26 @@ TEST(RasterDedupCache, ByteAccountingSurvivesInsertOverwriteEvictReplay) {
 }
 
 TEST(HashRaster, LengthDisambiguatesZeroRuns) {
-  // All-zero rasters of different sizes hash differently: the byte stream
-  // alone would collide (FNV over 0x00 bytes), the mixed-in length must not.
+  // All-zero rasters of different sizes hash differently: their
+  // zero-padded words alone would collide, the mixed-in length must not.
   const RasterKey four(4, 0);
   const RasterKey eight(8, 0);
   EXPECT_NE(hash_raster(four), hash_raster(eight));
 }
 
+// Flipping any one pixel changes the hash, whether the pixel sits in a
+// full 8-byte word or in the zero-padded tail: lengths below one word, one
+// short of a word multiple, and one past it.
 TEST(HashRaster, SensitiveToEveryPixel) {
-  RasterKey base(64, 0);
-  const std::uint64_t reference = hash_raster(base);
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    RasterKey flipped = base;
-    flipped[i] = 1;
-    EXPECT_NE(hash_raster(flipped), reference) << "pixel " << i;
+  for (const std::size_t length : {1u, 7u, 64u, 1023u, 1025u}) {
+    RasterKey base(length, 0);
+    const std::uint64_t reference = hash_raster(base);
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      RasterKey flipped = base;
+      flipped[i] = 1;
+      EXPECT_NE(hash_raster(flipped), reference)
+          << "length " << length << " pixel " << i;
+    }
   }
 }
 

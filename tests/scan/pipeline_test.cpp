@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "core/brnn.h"
 #include "core/trainer.h"
 #include "dataset/dataset.h"
 #include "dataset/patterns.h"
 #include "layout/clip.h"
 #include "obs/metrics.h"
+#include "scan/journal.h"
+#include "support/temp_dir.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -143,19 +149,111 @@ TEST(ScanPipeline, PipelinedAndSequentialAgree) {
   EXPECT_EQ(a.stats.batches, b.stats.batches);
 }
 
+// A chip whose tiles cycle through `distinct` dense-line tiles, so scans
+// mix dedup hits with misses.
+Pattern build_cycled_chip(int tiles_per_side, int distinct) {
+  dataset::PatternParams params;
+  util::Rng rng(91);
+  std::vector<Pattern> pool;
+  for (int i = 0; i < distinct; ++i) {
+    pool.push_back(dataset::dense_lines(params, rng));
+  }
+  Pattern chip;
+  for (int ty = 0; ty < tiles_per_side; ++ty) {
+    for (int tx = 0; tx < tiles_per_side; ++tx) {
+      const int pick = (tx * 7 + ty * 3) % distinct;
+      Pattern tile = pool[static_cast<std::size_t>(pick)];
+      tile.translate(tx * params.clip_nm, ty * params.clip_nm);
+      for (const auto& rect : tile.rects()) {
+        chip.add(rect);
+      }
+    }
+  }
+  return chip;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Window keys are computed on the pool a lookahead at a time; batches,
+// entry ids, stats and journal bytes must not depend on the pool width.
+// Grid 64 makes a lookahead 128 windows in 4 chunks, the 17x17 chip spans
+// three lookaheads, and batches of 24 end mid-lookahead.
 TEST(ScanPipeline, DeterministicAtAnyThreadCount) {
-  const Pattern chip = build_chip(3, /*repeat_one_tile=*/false);
-  const ScanConfig config = small_config();
+  const Pattern chip = build_cycled_chip(17, 60);
+  ScanConfig config = small_config();
+  config.grid = 64;
+  config.batch_size = 24;
+  config.snapshot_every_batches = 3;
   const int saved = util::parallel_threads();
-  util::set_parallel_threads(1);
-  ScanPipeline single(config, density_classifier());
-  const ScanResult one = single.scan(chip);
-  util::set_parallel_threads(4);
-  ScanPipeline pooled(config, density_classifier());
-  const ScanResult four = pooled.scan(chip);
+  std::vector<ScanResult> results;
+  std::vector<std::string> journals;
+  std::vector<std::string> snapshots;
+  std::int64_t dispatches_at_two = 0;
+  for (const int width : {1, 2, 4, 7}) {
+    util::set_parallel_threads(width);
+    config.journal_path =
+        testutil::temp_path("width" + std::to_string(width) + ".journal");
+    ScanPipeline pipeline(config, density_classifier());
+    const std::int64_t dispatches_before = util::parallel_dispatch_count();
+    results.push_back(pipeline.scan(chip));
+    if (width == 2) {
+      dispatches_at_two = util::parallel_dispatch_count() - dispatches_before;
+    }
+    journals.push_back(read_bytes(config.journal_path));
+    snapshots.push_back(
+        read_bytes(ScanJournal::snapshot_path(config.journal_path)));
+  }
   util::set_parallel_threads(saved);
-  EXPECT_EQ(one.labels, four.labels);
-  EXPECT_EQ(one.stats.dedup_hits, four.stats.dedup_hits);
+  const ScanResult& one = results.front();
+  EXPECT_EQ(one.stats.windows, 17 * 17);
+  EXPECT_GT(one.stats.dedup_hits, 0);
+  EXPECT_GT(one.stats.batches, 2);
+  EXPECT_FALSE(journals.front().empty());
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    const ScanResult& other = results[i];
+    EXPECT_EQ(other.labels, one.labels) << "width index " << i;
+    EXPECT_EQ(other.stats.unique_windows, one.stats.unique_windows);
+    EXPECT_EQ(other.stats.dedup_hits, one.stats.dedup_hits);
+    EXPECT_EQ(other.stats.batches, one.stats.batches);
+    EXPECT_EQ(other.stats.retries, one.stats.retries);
+    EXPECT_EQ(other.stats.quarantined, one.stats.quarantined);
+    EXPECT_EQ(journals[i], journals.front()) << "width index " << i;
+    EXPECT_EQ(snapshots[i], snapshots.front()) << "width index " << i;
+  }
+  // The keys really went to the pool: at least one hand-off per lookahead.
+  EXPECT_GE(dispatches_at_two, 3);
+}
+
+// A raster whose computation alone (no injected stall) outlasts the window
+// deadline is quarantined, even though the lookahead computed it on the
+// pool: its measured compute time is charged to its first attempt, and the
+// retry recomputes it serially.
+TEST(ScanPipeline, SlowRasterComputeTripsTheDeadline) {
+  const std::int64_t window = 1024;
+  Pattern chip;
+  chip.add(Rect{0, 0, 3 * window, 100});  // light geometry everywhere
+  // Window 1 holds 20,000 full-window rects: rasterizing it at grid 256
+  // updates 1.3 billion pixels, far over 20 ms.
+  for (int i = 0; i < 20000; ++i) {
+    chip.add(Rect{window, 0, 2 * window, window});
+  }
+  ScanConfig config;
+  config.window_nm = window;
+  config.grid = 256;
+  config.batch_size = 4;
+  config.window_deadline_ms = 20;
+  config.max_retries = 1;
+  config.retry_backoff_ms = 0;
+  ScanPipeline pipeline(config, density_classifier());
+  const ScanResult result = pipeline.scan(chip);
+  ASSERT_EQ(result.labels.size(), 3u);
+  EXPECT_EQ(result.quarantined_windows, (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(result.labels[1], 0);
+  EXPECT_EQ(result.stats.retries, 1);
 }
 
 TEST(ScanPipeline, BitIdenticalToEagerBrnnPredict) {

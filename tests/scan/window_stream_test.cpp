@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "layout/clip.h"
+#include "util/rng.h"
 
 namespace hotspot::scan {
 namespace {
@@ -34,6 +38,52 @@ TEST(ClipWindowStream, MatchesExtractClips) {
     ++count;
   }
   EXPECT_EQ(count, stream.window_count());
+}
+
+// With stride < window, windows lie in 1, 2 or 4 bucket cells (cell edge =
+// window edge). Rects spanning several cells sit in each of their lists;
+// the merged gather must still yield every rect once, in insertion order,
+// exactly as Pattern::clipped_to does — through materialize and through a
+// reused clip_into buffer alike.
+TEST(ClipWindowStream, MaterializeMatchesClippedToAcrossBucketCells) {
+  util::Rng rng(31);
+  Pattern chip;
+  for (int i = 0; i < 400; ++i) {
+    const std::int64_t x0 = rng.uniform_int(0, 4800);
+    const std::int64_t y0 = rng.uniform_int(0, 3800);
+    const std::int64_t w = i % 7 == 0 ? rng.uniform_int(900, 2500)
+                                      : rng.uniform_int(1, 300);
+    const std::int64_t h = i % 11 == 0 ? rng.uniform_int(900, 2500)
+                                       : rng.uniform_int(1, 300);
+    chip.add(Rect{x0, y0, x0 + w, y0 + h});
+  }
+  const std::int64_t size = 1000;
+  ClipWindowStream stream(chip, size, 300);
+  const Rect box = chip.bounding_box();
+  std::set<std::int64_t> cells_seen;
+  std::vector<Rect> reused;
+  WindowRef ref;
+  while (stream.next(ref)) {
+    const auto span = [&](std::int64_t lo, std::int64_t hi,
+                          std::int64_t origin, std::int64_t cells) {
+      const std::int64_t first = (lo - origin) / size;
+      const std::int64_t last =
+          std::min<std::int64_t>(cells - 1, (hi - 1 - origin) / size);
+      return last - first + 1;
+    };
+    const std::int64_t cells =
+        span(ref.window.x0, ref.window.x1, box.x0,
+             (box.x1 - box.x0 + size - 1) / size) *
+        span(ref.window.y0, ref.window.y1, box.y0,
+             (box.y1 - box.y0 + size - 1) / size);
+    cells_seen.insert(cells);
+    const std::vector<Rect> expected = chip.clipped_to(ref.window).rects();
+    EXPECT_EQ(stream.materialize(ref).pattern.rects(), expected)
+        << "window " << ref.index << " in " << cells << " cells";
+    stream.clip_into(ref, reused);
+    EXPECT_EQ(reused, expected) << "window " << ref.index;
+  }
+  EXPECT_EQ(cells_seen, (std::set<std::int64_t>{1, 2, 4}));
 }
 
 TEST(ClipWindowStream, ScanOrderIsRowMajor) {

@@ -127,17 +127,18 @@ TEST(Conv2dBackward, MatchesFiniteDifference) {
     return mul(conv2d(xi, wi, nullptr, spec), g).sum();
   };
   const float h = 1e-2f;
+  const double span = 2.0 * static_cast<double>(h);
   for (std::int64_t i = 0; i < x.numel(); i += 5) {
     Tensor xp = x, xm = x;
     xp[i] += h;
     xm[i] -= h;
-    EXPECT_NEAR(gx[i], (loss(xp, w) - loss(xm, w)) / (2 * h), 2e-2);
+    EXPECT_NEAR(gx[i], (loss(xp, w) - loss(xm, w)) / span, 2e-2);
   }
   for (std::int64_t i = 0; i < w.numel(); i += 7) {
     Tensor wp = w, wm = w;
     wp[i] += h;
     wm[i] -= h;
-    EXPECT_NEAR(gw[i], (loss(x, wp) - loss(x, wm)) / (2 * h), 2e-2);
+    EXPECT_NEAR(gw[i], (loss(x, wp) - loss(x, wm)) / span, 2e-2);
   }
 }
 

@@ -115,7 +115,7 @@ TEST(Softmax, RowsSumToOne) {
   for (int r = 0; r < 2; ++r) {
     double total = 0.0;
     for (int c = 0; c < 3; ++c) {
-      total += probs.at2(r, c);
+      total += static_cast<double>(probs.at2(r, c));
     }
     EXPECT_NEAR(total, 1.0, 1e-6);
   }
@@ -156,7 +156,7 @@ TEST(CrossEntropy, GradientMatchesFiniteDifference) {
     lm[i] -= h;
     const double numeric = (softmax_cross_entropy(lp, targets, nullptr) -
                             softmax_cross_entropy(lm, targets, nullptr)) /
-                           (2.0 * h);
+                           (2.0 * static_cast<double>(h));
     EXPECT_NEAR(grad[i], numeric, 1e-3);
   }
 }
