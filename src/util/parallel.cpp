@@ -84,7 +84,11 @@ class ThreadPool {
       return job->completed.load(std::memory_order_acquire) ==
              job->chunk_count;
     });
-    job_.reset();
+    // Another caller may have posted its job since; leave that one for the
+    // workers.
+    if (job_ == job) {
+      job_.reset();
+    }
   }
 
   ~ThreadPool() { stop_workers(); }

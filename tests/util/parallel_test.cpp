@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace hotspot::util {
@@ -128,6 +130,53 @@ TEST_F(ParallelTest, PropagatesException) {
                      }
                    }),
       std::runtime_error);
+}
+
+// Two threads calling parallel_for at once (the scan producer's lookahead
+// and the classifier do): a job posted while another caller's job is in
+// flight must still reach the worker once it is free, not be dropped when
+// the first caller's run() returns.
+TEST_F(ParallelTest, ConcurrentCallerKeepsTheWorker) {
+  set_parallel_threads(2);  // one worker beside each caller
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto spin_until = [&](const std::atomic<bool>& flag) {
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  std::atomic<bool> worker_ran_a{false};
+  std::atomic<bool> b_running{false};
+  std::atomic<bool> b_helped{false};
+  const std::thread::id a_caller = std::this_thread::get_id();
+  std::thread b_caller([&] {
+    spin_until(worker_ran_a);
+    // Let the worker go back to waiting before B is posted.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::thread::id self = std::this_thread::get_id();
+    parallel_for(0, 2, 1, [&](std::int64_t, std::int64_t) {
+      if (std::this_thread::get_id() == self) {
+        b_running = true;
+        spin_until(b_helped);  // only the worker can run the other chunk
+      } else {
+        b_helped = true;
+      }
+    });
+  });
+  // A: the worker runs one chunk; this thread's chunk returns the moment B
+  // runs, so A's run() ends while B is posted and the worker is still
+  // waking up for it.
+  parallel_for(0, 2, 1, [&](std::int64_t, std::int64_t) {
+    if (std::this_thread::get_id() == a_caller) {
+      spin_until(b_running);
+    } else {
+      worker_ran_a = true;
+    }
+  });
+  b_caller.join();
+  EXPECT_TRUE(worker_ran_a);
+  EXPECT_TRUE(b_running);
+  EXPECT_TRUE(b_helped) << "the worker never ran the second caller's chunk";
 }
 
 TEST_F(ParallelTest, SetParallelThreadsClampsToOne) {
